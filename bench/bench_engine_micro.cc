@@ -6,6 +6,7 @@
 #include "common/key_encoding.h"
 #include "common/rng.h"
 #include "engine/database.h"
+#include "engine/planner.h"
 #include "sql/parser.h"
 #include "index/btree.h"
 #include "storage/row_codec.h"
@@ -117,6 +118,76 @@ void BM_SqlParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SqlParse);
+
+/// A pivot-style reconstruction over `pieces` aliases of one table: the
+/// first piece is found by its value, every other piece is aligned to it
+/// on (tenant, tbl, col, row) — four conjuncts per piece, as the Pivot
+/// layout's point SELECT emits one join per column.
+std::string PivotReconstruction(int pieces) {
+  std::string items, from, where;
+  for (int i = 0; i < pieces; ++i) {
+    const std::string p = "p" + std::to_string(i);
+    if (i > 0) items += ", ", from += ", ", where += " AND ";
+    items += p + ".val AS c" + std::to_string(i);
+    from += "pivot " + p;
+    where += p + ".tenant = 17 AND " + p + ".tbl = 0 AND " + p +
+             ".col = " + std::to_string(i) + " AND ";
+    where += i == 0 ? p + ".val = ?" : p + ".row = p0.row";
+  }
+  return "SELECT " + items + " FROM " + from + " WHERE " + where;
+}
+
+struct PivotFixture {
+  Database db;
+  std::unique_ptr<sql::SelectStmt> stmt;
+
+  explicit PivotFixture(int pieces) {
+    Status st = db.Execute("CREATE TABLE pivot (tenant INT, tbl INT, col INT, "
+                           "row BIGINT, val BIGINT)")
+                    .status();
+    if (st.ok()) {
+      st = db.Execute("CREATE UNIQUE INDEX ux_pivot_tcr ON pivot "
+                      "(tenant, tbl, col, row)")
+               .status();
+    }
+    if (st.ok()) {
+      st = db.Execute("CREATE INDEX ix_pivot_val ON pivot "
+                      "(val, tenant, tbl, col)")
+               .status();
+    }
+    auto parsed = sql::ParseSelect(PivotReconstruction(pieces));
+    if (st.ok() && parsed.ok()) stmt = std::move(*parsed);
+  }
+};
+
+/// Planning alone (no execution, no plan text): the cost every pivot,
+/// chunk and vertical point SELECT pays before its first row.
+void BM_PlanReconstruction(benchmark::State& state) {
+  PivotFixture f(static_cast<int>(state.range(0)));
+  if (f.stmt == nullptr) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto plan = PlanSelect(*f.stmt, f.db.catalog(), PlannerMode::kAdvanced);
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_PlanReconstruction)->Arg(1)->Arg(4)->Arg(12)->Arg(24);
+
+/// Planning plus the EXPLAIN text, as Database::ExplainAst returns it.
+void BM_PlanAndExplain(benchmark::State& state) {
+  PivotFixture f(static_cast<int>(state.range(0)));
+  if (f.stmt == nullptr) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto text = f.db.ExplainAst(*f.stmt);
+    benchmark::DoNotOptimize(text);
+  }
+}
+BENCHMARK(BM_PlanAndExplain)->Arg(24);
 
 }  // namespace
 }  // namespace mtdb

@@ -618,9 +618,7 @@ Result<std::string> Database::ExplainAst(const sql::SelectStmt& stmt) {
   // Planning only reads the catalog; holding the DDL latch shared keeps
   // the referenced TableInfos alive without blocking other statements.
   std::shared_lock<SharedLatch> ddl(ddl_mu_);
-  MTDB_ASSIGN_OR_RETURN(PlannedQuery plan,
-                        PlanSelect(stmt, catalog_.get(), planner_mode()));
-  return plan.plan_text;
+  return ExplainSelect(stmt, catalog_.get(), planner_mode());
 }
 
 // --- the statement pipeline -------------------------------------------
@@ -664,18 +662,18 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   for (TableInfo* table : ResolveInLatchOrder(catalog_.get(), names)) {
     latches.LockTable(table, /*exclusive=*/false);
   }
-  MTDB_ASSIGN_OR_RETURN(PlannedQuery plan,
+  MTDB_ASSIGN_OR_RETURN(ExecutorPtr plan,
                         PlanSelect(stmt, catalog_.get(), planner_mode()));
   ExecContext ctx;
   ctx.params = params;
   ctx.deadline = deadline::Current();
-  MTDB_RETURN_IF_ERROR(plan.exec->Init(ctx));
+  MTDB_RETURN_IF_ERROR(plan->Init(ctx));
   QueryResult out;
-  out.columns = plan.exec->schema().names;
+  out.columns = plan->schema().names;
   Row row;
   while (true) {
     MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
-    Result<bool> more = plan.exec->Next(&row, ctx);
+    Result<bool> more = plan->Next(&row, ctx);
     if (!more.ok()) return more.status();
     if (!*more) break;
     out.rows.push_back(std::move(row));
@@ -1116,17 +1114,17 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
   ref.table_name = stmt.table;
   select.from.push_back(std::move(ref));
   if (stmt.where != nullptr) select.where = stmt.where->Clone();
-  MTDB_ASSIGN_OR_RETURN(PlannedQuery plan,
+  MTDB_ASSIGN_OR_RETURN(ExecutorPtr plan,
                         PlanSelect(select, catalog_.get(), planner_mode()));
-  MTDB_RETURN_IF_ERROR(plan.exec->Init(ctx));
+  MTDB_RETURN_IF_ERROR(plan->Init(ctx));
 
   std::vector<std::pair<Rid, Row>> affected;
   Row row;
   while (true) {
-    Result<bool> more = plan.exec->Next(&row, ctx);
+    Result<bool> more = plan->Next(&row, ctx);
     if (!more.ok()) return more.status();
     if (!*more) break;
-    const Rid* rid = plan.exec->current_rid();
+    const Rid* rid = plan->current_rid();
     if (rid == nullptr) {
       return Status::Internal("update scan lost row identity");
     }
@@ -1210,16 +1208,16 @@ Result<int64_t> Database::ExecuteDelete(const sql::DeleteStmt& stmt,
   ref.table_name = stmt.table;
   select.from.push_back(std::move(ref));
   if (stmt.where != nullptr) select.where = stmt.where->Clone();
-  MTDB_ASSIGN_OR_RETURN(PlannedQuery plan,
+  MTDB_ASSIGN_OR_RETURN(ExecutorPtr plan,
                         PlanSelect(select, catalog_.get(), planner_mode()));
-  MTDB_RETURN_IF_ERROR(plan.exec->Init(ctx));
+  MTDB_RETURN_IF_ERROR(plan->Init(ctx));
   std::vector<std::pair<Rid, Row>> affected;
   Row row;
   while (true) {
-    Result<bool> more = plan.exec->Next(&row, ctx);
+    Result<bool> more = plan->Next(&row, ctx);
     if (!more.ok()) return more.status();
     if (!*more) break;
-    const Rid* rid = plan.exec->current_rid();
+    const Rid* rid = plan->current_rid();
     if (rid == nullptr) {
       return Status::Internal("delete scan lost row identity");
     }

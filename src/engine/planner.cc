@@ -1,8 +1,9 @@
 #include "engine/planner.h"
 
 #include <algorithm>
-#include <sstream>
+#include <unordered_map>
 
+#include "sql/ast_util.h"
 #include "sql/printer.h"
 
 namespace mtdb {
@@ -18,74 +19,95 @@ using sql::TableRef;
 
 // ------------------------------------------------------------------ scope
 
-/// Resolves qualified/unqualified column references against the
-/// concatenated output of the tables planned so far.
-class Scope {
+/// The columns of one FROM binding: a base table's schema or a derived
+/// table's output. Borrowed, never copied; both outlive the planning.
+class Columns {
  public:
-  struct Binding {
-    std::string name;  // lower-cased binding name
-    OutputSchema schema;
-  };
+  Columns() = default;
+  explicit Columns(const Schema* table) : table_(table) {}
+  explicit Columns(const OutputSchema* output) : output_(output) {}
 
-  void Add(const std::string& binding, const OutputSchema& schema) {
-    bindings_.push_back(Binding{IdentLower(binding), schema});
+  size_t size() const {
+    return table_ != nullptr ? table_->size() : output_->size();
+  }
+  const std::string& name(size_t i) const {
+    return table_ != nullptr ? table_->at(i).name : output_->names[i];
+  }
+  TypeId type(size_t i) const {
+    return table_ != nullptr ? table_->at(i).type : output_->types[i];
   }
 
-  size_t total_width() const {
-    size_t w = 0;
-    for (const auto& b : bindings_) w += b.schema.size();
-    return w;
+  /// Columns named `column` (case-insensitively) and the first of them.
+  struct Match {
+    uint32_t count = 0;
+    size_t first = 0;
+  };
+  Match Find(const std::string& column) const {
+    Match m;
+    for (size_t i = 0; i < size(); ++i) {
+      if (IdentEquals(name(i), column)) {
+        if (m.count++ == 0) m.first = i;
+      }
+    }
+    return m;
+  }
+
+ private:
+  const Schema* table_ = nullptr;
+  const OutputSchema* output_ = nullptr;
+};
+
+/// Resolves qualified/unqualified column references against the
+/// concatenated output of the tables planned so far. Qualified names
+/// find their binding through a map extended as bindings are added, so
+/// a lookup scans one binding's columns however many tables are in
+/// scope.
+class Scope {
+ public:
+  void Add(const std::string& binding, Columns columns) {
+    by_name_.emplace(IdentLower(binding), bindings_.size());
+    bindings_.push_back(Binding{columns, width_});
+    width_ += columns.size();
   }
 
   /// Returns (offset, type) of `table`.`column`; table may be empty.
   Result<std::pair<size_t, TypeId>> Resolve(const std::string& table,
                                             const std::string& column) const {
-    size_t offset = 0;
-    std::string tlower = IdentLower(table);
-    std::optional<std::pair<size_t, TypeId>> found;
-    for (const auto& b : bindings_) {
-      if (tlower.empty() || b.name == tlower) {
-        for (size_t i = 0; i < b.schema.size(); ++i) {
-          if (IdentEquals(b.schema.names[i], column)) {
-            if (found.has_value()) {
-              return Status::InvalidArgument("ambiguous column: " + column);
-            }
-            found = std::make_pair(offset + i, b.schema.types[i]);
-          }
-        }
+    uint32_t count = 0;
+    std::pair<size_t, TypeId> found{0, TypeId::kNull};
+    auto visit = [&](const Binding& b) {
+      Columns::Match m = b.columns.Find(column);
+      if (m.count > 0 && count == 0) {
+        found = {b.offset + m.first, b.columns.type(m.first)};
       }
-      offset += b.schema.size();
+      count += m.count;
+    };
+    if (table.empty()) {
+      for (const Binding& b : bindings_) visit(b);
+    } else {
+      auto range = by_name_.equal_range(IdentLower(table));
+      for (auto it = range.first; it != range.second; ++it) {
+        visit(bindings_[it->second]);
+      }
     }
-    if (!found.has_value()) {
+    if (count > 1) {
+      return Status::InvalidArgument("ambiguous column: " + column);
+    }
+    if (count == 0) {
       return Status::NotFound("column not found: " +
                               (table.empty() ? column : table + "." + column));
     }
-    return *found;
-  }
-
-  bool HasBinding(const std::string& name) const {
-    std::string lower = IdentLower(name);
-    for (const auto& b : bindings_) {
-      if (b.name == lower) return true;
-    }
-    return false;
-  }
-
-  const std::vector<Binding>& raw() const { return bindings_; }
-
-  OutputSchema Concatenated() const {
-    OutputSchema out;
-    for (const auto& b : bindings_) {
-      out.names.insert(out.names.end(), b.schema.names.begin(),
-                       b.schema.names.end());
-      out.types.insert(out.types.end(), b.schema.types.begin(),
-                       b.schema.types.end());
-    }
-    return out;
+    return found;
   }
 
  private:
+  struct Binding {
+    Columns columns;
+    size_t offset;
+  };
   std::vector<Binding> bindings_;
+  std::unordered_multimap<std::string, size_t> by_name_;  // lower -> index
+  size_t width_ = 0;
 };
 
 // ----------------------------------------------------------- expr binding
@@ -230,57 +252,13 @@ bool IsConstant(const ParsedExpr& e) {
   return true;
 }
 
-/// Collects the set of binding names an expression references
-/// (lower-cased; "" for unqualified references).
-void CollectTables(const ParsedExpr& e,
-                   std::vector<std::pair<std::string, std::string>>* refs) {
-  if (e.kind == PExprKind::kColumnRef) {
-    refs->push_back({IdentLower(e.table), IdentLower(e.column)});
-  }
-  if (e.left != nullptr) CollectTables(*e.left, refs);
-  if (e.right != nullptr) CollectTables(*e.right, refs);
-  for (const auto& a : e.args) CollectTables(*a, refs);
-}
-
-/// True if every column ref in `e` resolves in `scope`.
-bool FullyBound(const ParsedExpr& e, const Scope& scope) {
-  std::vector<std::pair<std::string, std::string>> refs;
-  CollectTables(e, &refs);
-  for (const auto& [t, c] : refs) {
-    if (!scope.Resolve(t, c).ok()) return false;
-  }
-  return true;
-}
-
-/// If the conjunct is `ref.col = <other>` (either side), where ref names
-/// binding `binding` and col is a column of `schema`, returns the column
-/// position and the other side.
-std::optional<std::pair<size_t, const ParsedExpr*>> MatchColumnEquality(
-    const ParsedExpr& conjunct, const std::string& binding,
-    const OutputSchema& schema) {
-  if (conjunct.kind != PExprKind::kBinary ||
-      conjunct.binary_op != BinaryOp::kEq) {
-    return std::nullopt;
-  }
-  auto side_matches = [&](const ParsedExpr& side) -> std::optional<size_t> {
-    if (side.kind != PExprKind::kColumnRef) return std::nullopt;
-    if (!side.table.empty() && !IdentEquals(side.table, binding)) {
-      return std::nullopt;
-    }
-    for (size_t i = 0; i < schema.size(); ++i) {
-      if (IdentEquals(schema.names[i], side.column)) return i;
-    }
-    return std::nullopt;
-  };
-  if (auto col = side_matches(*conjunct.left)) {
-    return std::make_pair(*col, conjunct.right.get());
-  }
-  if (auto col = side_matches(*conjunct.right)) {
-    // If both sides are columns of this binding, this is not a probe key.
-    if (side_matches(*conjunct.left)) return std::nullopt;
-    return std::make_pair(*col, conjunct.left.get());
-  }
-  return std::nullopt;
+/// Calls `fn` on every column reference in `e`, left to right.
+template <typename Fn>
+void ForEachColumnRef(const ParsedExpr& e, const Fn& fn) {
+  if (e.kind == PExprKind::kColumnRef) fn(e);
+  if (e.left != nullptr) ForEachColumnRef(*e.left, fn);
+  if (e.right != nullptr) ForEachColumnRef(*e.right, fn);
+  for (const auto& a : e.args) ForEachColumnRef(*a, fn);
 }
 
 // ----------------------------------------------------------- flattening
@@ -337,6 +315,15 @@ bool IsFlattenable(const SelectStmt& sub) {
     if (HasAggregate(*item.expr)) return false;
   }
   return true;
+}
+
+/// True if FlattenDerivedTables would inline anything.
+bool HasFlattenable(const SelectStmt& stmt) {
+  if (stmt.select_star) return false;
+  for (const TableRef& ref : stmt.from) {
+    if (ref.is_subquery() && IsFlattenable(*ref.subquery)) return true;
+  }
+  return false;
 }
 
 /// Fegaras & Maier rule N8: inline conjunctive derived tables into the
@@ -400,144 +387,333 @@ void FlattenDerivedTables(SelectStmt* stmt) {
   }
 }
 
+// ------------------------------------------------------------- plan text
+
+/// EXPLAIN output as a tree of labelled nodes. The planner builds it only
+/// when the caller asked for the text, and renders it once at the end.
+struct PlanText {
+  std::string label;
+  std::vector<PlanText> children;
+};
+
+/// Appends `node` and its subtree, every line indented two spaces per
+/// level of depth.
+void Render(const PlanText& node, size_t depth, std::string* out) {
+  size_t start = 0;
+  while (true) {
+    const size_t end = node.label.find('\n', start);
+    out->append(2 * depth, ' ');
+    out->append(node.label, start,
+                end == std::string::npos ? std::string::npos : end - start);
+    out->push_back('\n');
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  for (const PlanText& child : node.children) Render(child, depth + 1, out);
+}
+
 // ------------------------------------------------------------ the planner
 
 struct Built {
   ExecutorPtr exec;
-  std::string text;
+  PlanText text;  // empty unless the plan text was asked for
 };
-
-std::string Indent(const std::string& text) {
-  std::string out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    out += "  " + line + "\n";
-  }
-  if (!out.empty()) out.pop_back();
-  return out;
-}
 
 class SelectPlanner {
  public:
-  SelectPlanner(Catalog* catalog, PlannerMode mode)
-      : catalog_(catalog), mode_(mode) {}
+  SelectPlanner(Catalog* catalog, PlannerMode mode, bool explain)
+      : catalog_(catalog), mode_(mode), explain_(explain) {}
 
   Result<Built> Plan(const SelectStmt& stmt);
 
+  Catalog* catalog() const { return catalog_; }
+  PlannerMode mode() const { return mode_; }
+
+  Result<Built> PlanDerived(const TableRef& ref) const;
+
+  /// Puts `b`'s plan text under a new node labelled `label()`. The label
+  /// is only built when explaining.
+  template <typename LabelFn>
+  void Wrap(Built* b, const LabelFn& label) const {
+    if (!explain_) return;
+    PlanText node{label(), {}};
+    node.children.push_back(std::move(b->text));
+    b->text = std::move(node);
+  }
+
+  /// Sets `left`'s plan text to `label` over the two inputs' texts.
+  void WrapJoin(Built* left, Built* right, const std::string& label) const {
+    if (!explain_) return;
+    PlanText node{label, {}};
+    node.children.push_back(std::move(left->text));
+    node.children.push_back(std::move(right->text));
+    left->text = std::move(node);
+  }
+
+  /// Sets `b`'s plan text to a leaf labelled `label()`.
+  template <typename LabelFn>
+  void Leaf(Built* b, const LabelFn& label) const {
+    if (explain_) b->text.label = label();
+  }
+
  private:
-  struct PendingRef {
-    const TableRef* ref;
-    TableInfo* table = nullptr;  // null for derived tables
-    bool planned = false;
-  };
-
-  Result<Built> PlanFromWhere(const SelectStmt& stmt, Scope* scope,
-                              std::vector<ParsedExprPtr>* conjuncts);
-  Result<Built> PlanBaseTableAccess(TableInfo* table,
-                                    const std::string& binding,
-                                    std::vector<ParsedExprPtr>* conjuncts,
-                                    std::vector<bool>* used);
-  Result<Built> PlanDerived(const TableRef& ref);
-  /// Score for driving-table choice: matched index-prefix length against
-  /// constant equality conjuncts (+bonus when the index is unique and
-  /// fully matched).
-  int ScoreRef(const PendingRef& p,
-               const std::vector<ParsedExprPtr>& conjuncts) const;
-
   Catalog* catalog_;
   PlannerMode mode_;
+  bool explain_;
 };
 
-Result<Built> SelectPlanner::PlanDerived(const TableRef& ref) {
-  SelectPlanner sub(catalog_, mode_);
+Result<Built> SelectPlanner::PlanDerived(const TableRef& ref) const {
+  SelectPlanner sub(catalog_, mode_, explain_);
   MTDB_ASSIGN_OR_RETURN(Built b, sub.Plan(*ref.subquery));
   // Derived tables are materialized: in kNaive mode this is the "generate
   // the full relation first" behaviour; in kAdvanced mode this path is
   // only reached for non-flattenable subqueries (aggregations), where
   // materialization is the standard strategy too.
-  auto mat = std::make_unique<MaterializeExecutor>(std::move(b.exec));
-  Built out;
-  out.text = "Materialize (" + ref.alias + ")\n" + Indent(b.text);
-  out.exec = std::move(mat);
-  return out;
+  b.exec = std::make_unique<MaterializeExecutor>(std::move(b.exec));
+  Wrap(&b, [&] { return "Materialize (" + ref.alias + ")"; });
+  return b;
 }
 
-int SelectPlanner::ScoreRef(const PendingRef& p,
-                            const std::vector<ParsedExprPtr>& conjuncts) const {
-  if (p.table == nullptr) return 0;
-  OutputSchema schema;
-  for (const Column& c : p.table->schema.columns()) {
-    schema.names.push_back(c.name);
-    schema.types.push_back(c.type);
+/// Plans one FROM/WHERE block: access paths, join order and filter
+/// placement. Each conjunct is analysed once up front: which pending
+/// tables its column references can resolve in, and, for an equality,
+/// which pending base table's column each operand names and whether
+/// the other operand is constant. As tables join the scope, each
+/// reference's count of matching columns is updated, so "is this
+/// operand bound now?" is a counter test. Every decision below reads
+/// this state: a join step costs time linear in the conjuncts, and a
+/// block of n tables and c conjuncts plans in O(n·c).
+class JoinPlanner {
+ public:
+  JoinPlanner(const SelectPlanner& planner, Scope* scope)
+      : planner_(planner), scope_(scope) {}
+
+  Result<Built> Plan(const SelectStmt& stmt,
+                     const std::vector<const ParsedExpr*>& conjuncts);
+
+ private:
+  /// A column reference inside a conjunct.
+  struct Ref {
+    uint32_t conjunct;
+    uint8_t side;           // equality operand (0 left, 1 right); else 0
+    uint32_t in_scope = 0;  // columns it matches in the planned tables
+  };
+  /// The columns of one pending table that a reference matches.
+  struct Hit {
+    uint32_t ref;
+    uint32_t count;
+  };
+  /// An equality conjunct `<column of this table> = <other operand>`.
+  struct EqSide {
+    uint32_t conjunct;
+    size_t column;
+    uint8_t other;  // the other operand's side
+    bool other_constant;
+  };
+  struct Conjunct {
+    const ParsedExpr* expr = nullptr;
+    const ParsedExpr* side[2] = {nullptr, nullptr};
+    uint32_t refs = 0;
+    /// References of each operand that do not resolve to exactly one
+    /// column of the tables in scope.
+    uint32_t unresolved[2] = {0, 0};
+    bool used = false;
+
+    bool Bound() const { return unresolved[0] == 0 && unresolved[1] == 0; }
+  };
+  struct Pending {
+    const TableRef* ref = nullptr;
+    TableInfo* table = nullptr;  // null for derived tables
+    Built derived;               // derived tables are planned up front
+    Columns columns;
+    std::vector<Hit> hits;
+    std::vector<EqSide> eqs;  // written order
+    bool planned = false;
+  };
+
+  void Analyse(const std::vector<const ParsedExpr*>& conjuncts);
+  int DriverScore(const Pending& p) const;
+  size_t NextTable() const;
+  Result<Built> PlanAccess(Pending* p);
+  Result<Built> JoinBase(Built current, Pending* p);
+  /// Puts `p` in scope and appends the conjuncts it touched.
+  void AddToScope(Pending* p, std::vector<uint32_t>* touched);
+  /// The unused conjuncts among `ids` that the scope now binds, sorted.
+  std::vector<uint32_t> BoundIn(std::vector<uint32_t> ids) const;
+  /// Binds conjuncts `ids` against `scope`, marks them used and puts a
+  /// filter on them over `b`.
+  Status AddFilter(Built* b, const std::vector<uint32_t>& ids,
+                   const Scope& scope);
+
+  const SelectPlanner& planner_;
+  Scope* scope_;
+  std::vector<Pending> pending_;
+  std::vector<Conjunct> conj_;
+  std::vector<Ref> refs_;
+  std::vector<uint32_t> constant_;  // conjuncts without column refs
+  std::vector<uint32_t> local_hits_;
+};
+
+void JoinPlanner::Analyse(const std::vector<const ParsedExpr*>& conjuncts) {
+  std::unordered_multimap<std::string, uint32_t> by_binding;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    by_binding.emplace(IdentLower(pending_[i].ref->binding_name()),
+                       static_cast<uint32_t>(i));
   }
-  const std::string& binding = p.ref->binding_name();
+  conj_.resize(conjuncts.size());
+  local_hits_.assign(conjuncts.size(), 0);
+  // Pending base tables, with the column position, that each equality
+  // operand names.
+  std::vector<std::pair<uint32_t, size_t>> named[2];
+  for (uint32_t ci = 0; ci < conjuncts.size(); ++ci) {
+    named[0].clear();
+    named[1].clear();
+    Conjunct& c = conj_[ci];
+    c.expr = conjuncts[ci];
+    const bool eq = c.expr->kind == PExprKind::kBinary &&
+                    c.expr->binary_op == BinaryOp::kEq;
+    if (eq) {
+      c.side[0] = c.expr->left.get();
+      c.side[1] = c.expr->right.get();
+    } else {
+      c.side[0] = c.expr;
+    }
+    for (uint8_t s = 0; s < 2 && c.side[s] != nullptr; ++s) {
+      ForEachColumnRef(*c.side[s], [&](const ParsedExpr& r) {
+        const auto id = static_cast<uint32_t>(refs_.size());
+        refs_.push_back(Ref{ci, s});
+        c.refs++;
+        c.unresolved[s]++;
+        auto visit = [&](uint32_t pi) {
+          Pending& p = pending_[pi];
+          Columns::Match m = p.columns.Find(r.column);
+          if (m.count == 0) return;
+          p.hits.push_back(Hit{id, m.count});
+          if (eq && &r == c.side[s] && p.table != nullptr) {
+            named[s].emplace_back(pi, m.first);
+          }
+        };
+        if (r.table.empty()) {
+          for (uint32_t pi = 0; pi < pending_.size(); ++pi) visit(pi);
+        } else {
+          auto range = by_binding.equal_range(IdentLower(r.table));
+          for (auto it = range.first; it != range.second; ++it) {
+            visit(it->second);
+          }
+        }
+      });
+    }
+    if (c.refs == 0) constant_.push_back(ci);
+    if (!eq) continue;
+    const bool constant[2] = {IsConstant(*c.side[0]), IsConstant(*c.side[1])};
+    for (const auto& [pi, col] : named[0]) {
+      pending_[pi].eqs.push_back(EqSide{ci, col, 1, constant[1]});
+    }
+    // The left operand wins when both name a column of the same table.
+    for (const auto& [pi, col] : named[1]) {
+      bool left_too = false;
+      for (const auto& l : named[0]) left_too = left_too || l.first == pi;
+      if (!left_too) {
+        pending_[pi].eqs.push_back(EqSide{ci, col, 0, constant[0]});
+      }
+    }
+  }
+}
+
+int JoinPlanner::DriverScore(const Pending& p) const {
+  if (p.table == nullptr) return 0;
+  auto constant_eq = [&](size_t column) {
+    for (const EqSide& e : p.eqs) {
+      if (e.column == column && e.other_constant) return true;
+    }
+    return false;
+  };
   int best = 0;
   for (const auto& idx : p.table->indexes) {
-    int matched = 0;
-    for (size_t k = 0; k < idx->key_columns.size(); ++k) {
-      bool found = false;
-      for (const ParsedExprPtr& c : conjuncts) {
-        auto m = MatchColumnEquality(*c, binding, schema);
-        if (m.has_value() && m->first == idx->key_columns[k] &&
-            IsConstant(*m->second)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) break;
+    size_t matched = 0;
+    while (matched < idx->key_columns.size() &&
+           constant_eq(idx->key_columns[matched])) {
       matched++;
     }
-    int score = matched * 10;
-    if (matched == static_cast<int>(idx->key_columns.size()) && idx->unique &&
-        matched > 0) {
-      score += 100;
+    // Ten per matched key column. A fully matched index outscores a
+    // partial prefix up to four columns longer: its probe returns only
+    // rows equal on every key, where a partial prefix scans a whole
+    // range (for a chunk table, every row of the tenant). A unique one
+    // returns at most one row.
+    int score = static_cast<int>(matched) * 10;
+    if (matched > 0 && matched == idx->key_columns.size()) {
+      score += idx->unique ? 100 : 50;
     }
     best = std::max(best, score);
   }
   return best;
 }
 
-Result<Built> SelectPlanner::PlanBaseTableAccess(
-    TableInfo* table, const std::string& binding,
-    std::vector<ParsedExprPtr>* conjuncts, std::vector<bool>* used) {
-  OutputSchema schema;
-  for (const Column& c : table->schema.columns()) {
-    schema.names.push_back(c.name);
-    schema.types.push_back(c.type);
-  }
-  Scope local;
-  local.Add(binding, schema);
-
-  // Gather constant equality conjuncts on this table: column -> conjunct.
-  struct EqMatch {
-    size_t conjunct_index;
-    const ParsedExpr* value;
-  };
-  std::unordered_map<size_t, EqMatch> eq_by_col;
-  std::vector<size_t> eq_order;  // written order of matching conjuncts
-  for (size_t i = 0; i < conjuncts->size(); ++i) {
-    if ((*used)[i]) continue;
-    auto m = MatchColumnEquality(*(*conjuncts)[i], binding, schema);
-    if (m.has_value() && IsConstant(*m->second)) {
-      if (eq_by_col.emplace(m->first, EqMatch{i, m->second}).second) {
-        eq_order.push_back(m->first);
+size_t JoinPlanner::NextTable() const {
+  // Prefer a table connected by an equality conjunct to the current
+  // scope; among those, prefer index-joinable base tables.
+  size_t next = pending_.size();
+  int best = -1;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const Pending& p = pending_[i];
+    if (p.planned) continue;
+    int score = 0;
+    if (p.table != nullptr) {
+      for (const EqSide& e : p.eqs) {
+        const Conjunct& c = conj_[e.conjunct];
+        if (c.used || c.unresolved[e.other] != 0) continue;
+        score = 10;
+        bool leads = false;
+        for (const auto& idx : p.table->indexes) {
+          leads = leads || (!idx->key_columns.empty() &&
+                            idx->key_columns[0] == e.column);
+        }
+        if (leads) {
+          score = 20;
+          break;
+        }
       }
     }
+    if (score > best) {
+      best = score;
+      next = i;
+    }
   }
+  return next;
+}
+
+Result<Built> JoinPlanner::PlanAccess(Pending* p) {
+  TableInfo* table = p->table;
+  const std::string& binding = p->ref->binding_name();
+  // Constant equality conjuncts on this table: the first per column, in
+  // written order.
+  std::vector<const EqSide*> eqs;
+  auto find = [&](size_t column) -> const EqSide* {
+    for (const EqSide* e : eqs) {
+      if (e->column == column) return e;
+    }
+    return nullptr;
+  };
+  for (const EqSide& e : p->eqs) {
+    if (conj_[e.conjunct].used || !e.other_constant) continue;
+    if (find(e.column) == nullptr) eqs.push_back(&e);
+  }
+  auto prefix_of = [&](const IndexInfo& idx) {
+    size_t n = 0;
+    while (n < idx.key_columns.size() && find(idx.key_columns[n]) != nullptr) {
+      n++;
+    }
+    return n;
+  };
 
   const IndexInfo* chosen = nullptr;
   size_t prefix_len = 0;
-  if (mode_ == PlannerMode::kAdvanced) {
+  if (planner_.mode() == PlannerMode::kAdvanced) {
     // Longest matched prefix over all indexes.
     for (const auto& idx : table->indexes) {
-      size_t matched = 0;
-      for (size_t k = 0; k < idx->key_columns.size(); ++k) {
-        if (eq_by_col.count(idx->key_columns[k]) == 0) break;
-        matched++;
-      }
-      if (matched > prefix_len) {
-        prefix_len = matched;
+      const size_t n = prefix_of(*idx);
+      if (n > prefix_len) {
+        prefix_len = n;
         chosen = idx.get();
       }
     }
@@ -546,363 +722,323 @@ Result<Built> SelectPlanner::PlanBaseTableAccess(
     // written order) whose column leads some index — the MySQL-style
     // sensitivity to the SQL author's predicate order — but the probe
     // prefix is then extended greedily (ref access).
-    for (size_t col : eq_order) {
+    for (const EqSide* e : eqs) {
       for (const auto& idx : table->indexes) {
-        if (!idx->key_columns.empty() && idx->key_columns[0] == col) {
+        if (!idx->key_columns.empty() && idx->key_columns[0] == e->column) {
           chosen = idx.get();
           break;
         }
       }
       if (chosen != nullptr) break;
     }
-    if (chosen != nullptr) {
-      for (size_t k = 0; k < chosen->key_columns.size(); ++k) {
-        if (eq_by_col.count(chosen->key_columns[k]) == 0) break;
-        prefix_len++;
-      }
-    }
+    if (chosen != nullptr) prefix_len = prefix_of(*chosen);
   }
 
   Built out;
   if (chosen != nullptr && prefix_len > 0) {
     std::vector<ExprPtr> prefix_values;
-    std::string prefix_text;
     for (size_t k = 0; k < prefix_len; ++k) {
-      const EqMatch& m = eq_by_col[chosen->key_columns[k]];
-      (*used)[m.conjunct_index] = true;
-      MTDB_ASSIGN_OR_RETURN(ExprPtr v, BindExpr(*m.value, Scope()));
-      if (k > 0) prefix_text += ", ";
-      prefix_text +=
-          table->schema.at(chosen->key_columns[k]).name + "=" +
-          sql::ToSql(*m.value);
+      const EqSide* e = find(chosen->key_columns[k]);
+      Conjunct& c = conj_[e->conjunct];
+      c.used = true;
+      MTDB_ASSIGN_OR_RETURN(ExprPtr v, BindExpr(*c.side[e->other], Scope()));
       prefix_values.push_back(std::move(v));
     }
     out.exec = std::make_unique<IndexScanExecutor>(
         table, chosen, std::move(prefix_values), nullptr);
-    out.text = "IndexScan " + table->name + " (" + binding + ") index=" +
-               chosen->name + " prefix=[" + prefix_text + "]";
+    planner_.Leaf(&out, [&] {
+      std::string prefix;
+      for (size_t k = 0; k < prefix_len; ++k) {
+        const EqSide* e = find(chosen->key_columns[k]);
+        if (k > 0) prefix += ", ";
+        prefix += table->schema.at(e->column).name + "=" +
+                  sql::ToSql(*conj_[e->conjunct].side[e->other]);
+      }
+      return "IndexScan " + table->name + " (" + binding + ") index=" +
+             chosen->name + " prefix=[" + prefix + "]";
+    });
   } else {
     out.exec = std::make_unique<SeqScanExecutor>(table, nullptr);
-    out.text = "SeqScan " + table->name + " (" + binding + ")";
+    planner_.Leaf(&out, [&] {
+      return "SeqScan " + table->name + " (" + binding + ")";
+    });
   }
 
-  // Remaining single-table conjuncts become a pushed-down filter.
-  std::vector<ExprPtr> residual;
-  std::string filter_text;
-  for (size_t i = 0; i < conjuncts->size(); ++i) {
-    if ((*used)[i]) continue;
-    if (FullyBound(*(*conjuncts)[i], local)) {
-      MTDB_ASSIGN_OR_RETURN(ExprPtr b, BindExpr(*(*conjuncts)[i], local));
-      if (!filter_text.empty()) filter_text += " AND ";
-      filter_text += sql::ToSql(*(*conjuncts)[i]);
-      residual.push_back(std::move(b));
-      (*used)[i] = true;
+  // Remaining conjuncts that this table alone binds (each reference
+  // matching exactly one of its columns), and constant ones, become a
+  // pushed-down filter.
+  std::vector<uint32_t> local;
+  for (uint32_t ci : constant_) {
+    if (!conj_[ci].used) local.push_back(ci);
+  }
+  for (const Hit& h : p->hits) {
+    if (h.count != 1) continue;
+    const uint32_t ci = refs_[h.ref].conjunct;
+    if (++local_hits_[ci] == conj_[ci].refs && !conj_[ci].used) {
+      local.push_back(ci);
     }
   }
-  if (!residual.empty()) {
-    ExprPtr pred = JoinConjuncts(std::move(residual));
-    std::string child_text = std::move(out.text);
-    out.exec =
-        std::make_unique<FilterExecutor>(std::move(out.exec), std::move(pred));
-    out.text = "Filter [" + filter_text + "]\n" + Indent(child_text);
-  }
+  for (const Hit& h : p->hits) local_hits_[refs_[h.ref].conjunct] = 0;
+  std::sort(local.begin(), local.end());
+  Scope scope;
+  scope.Add(binding, p->columns);
+  MTDB_RETURN_IF_ERROR(AddFilter(&out, local, scope));
   return out;
 }
 
-Result<Built> SelectPlanner::PlanFromWhere(
-    const SelectStmt& stmt, Scope* scope,
-    std::vector<ParsedExprPtr>* conjuncts) {
+Result<Built> JoinPlanner::JoinBase(Built current, Pending* p) {
+  TableInfo* table = p->table;
+  const std::string& binding = p->ref->binding_name();
+  // Equality conjuncts whose other operand the scope binds, in written
+  // order, and the first of them per column.
+  std::vector<const EqSide*> usable, first;
+  auto find = [&](size_t column) -> const EqSide* {
+    for (const EqSide* e : first) {
+      if (e->column == column) return e;
+    }
+    return nullptr;
+  };
+  for (const EqSide& e : p->eqs) {
+    const Conjunct& c = conj_[e.conjunct];
+    if (c.used || c.unresolved[e.other] != 0) continue;
+    usable.push_back(&e);
+    if (find(e.column) == nullptr) first.push_back(&e);
+  }
+  auto prefix_of = [&](const IndexInfo& idx) {
+    size_t n = 0;
+    while (n < idx.key_columns.size() && find(idx.key_columns[n]) != nullptr) {
+      n++;
+    }
+    return n;
+  };
+
+  // An index-join path: an index of the new table whose prefix columns
+  // all have such conjuncts.
+  const IndexInfo* join_index = nullptr;
+  size_t key_count = 0;
+  if (planner_.mode() == PlannerMode::kAdvanced) {
+    for (const auto& idx : table->indexes) {
+      const size_t n = prefix_of(*idx);
+      if (n > key_count) {
+        key_count = n;
+        join_index = idx.get();
+      }
+    }
+  } else {
+    // Naive: the index is dictated by the first (written order) usable
+    // equality conjunct on this table; the probe prefix is then extended
+    // along that index (MySQL-style ref access).
+    for (const EqSide* e : usable) {
+      for (const auto& idx : table->indexes) {
+        if (!idx->key_columns.empty() && idx->key_columns[0] == e->column) {
+          join_index = idx.get();
+          break;
+        }
+      }
+      if (join_index != nullptr) break;
+    }
+    if (join_index != nullptr) key_count = prefix_of(*join_index);
+  }
+
+  if (join_index != nullptr && key_count > 0) {
+    std::vector<ExprPtr> keys;
+    for (size_t k = 0; k < key_count; ++k) {
+      const EqSide* e = find(join_index->key_columns[k]);
+      MTDB_ASSIGN_OR_RETURN(
+          ExprPtr kv, BindExpr(*conj_[e->conjunct].side[e->other], *scope_));
+      keys.push_back(std::move(kv));
+    }
+    for (size_t k = 0; k < key_count; ++k) {
+      conj_[find(join_index->key_columns[k])->conjunct].used = true;
+    }
+    current.exec = std::make_unique<IndexNestedLoopJoinExecutor>(
+        std::move(current.exec), table, join_index, std::move(keys), nullptr);
+    planner_.Wrap(&current, [&] {
+      std::string text;
+      for (size_t k = 0; k < key_count; ++k) {
+        const EqSide* e = find(join_index->key_columns[k]);
+        if (k > 0) text += ", ";
+        text += table->schema.at(e->column).name + "=" +
+                sql::ToSql(*conj_[e->conjunct].side[e->other]);
+      }
+      return "IndexNLJoin " + table->name + " (" + binding + ") index=" +
+             join_index->name + " keys=[" + text + "]";
+    });
+    return current;
+  }
+
+  // Hash join when an equality conjunct exists, else NL cross join.
+  const EqSide* hash = nullptr;
+  for (const EqSide* e : usable) {
+    if (!e->other_constant) {
+      hash = e;
+      break;
+    }
+  }
+  MTDB_ASSIGN_OR_RETURN(Built right, PlanAccess(p));
+  if (hash != nullptr) {
+    Conjunct& c = conj_[hash->conjunct];
+    c.used = true;
+    std::vector<ExprPtr> lk, rk;
+    MTDB_ASSIGN_OR_RETURN(ExprPtr l, BindExpr(*c.side[hash->other], *scope_));
+    lk.push_back(std::move(l));
+    const std::string& column = table->schema.at(hash->column).name;
+    rk.push_back(std::make_unique<ColumnRefExpr>(hash->column, column));
+    current.exec = std::make_unique<HashJoinExecutor>(
+        std::move(current.exec), std::move(right.exec), std::move(lk),
+        std::move(rk), nullptr);
+    planner_.WrapJoin(&current, &right, "HashJoin on " + column);
+  } else {
+    auto mat = std::make_unique<MaterializeExecutor>(std::move(right.exec));
+    current.exec = std::make_unique<NestedLoopJoinExecutor>(
+        std::move(current.exec), std::move(mat), nullptr);
+    planner_.WrapJoin(&current, &right, "NLJoin");
+  }
+  return current;
+}
+
+void JoinPlanner::AddToScope(Pending* p, std::vector<uint32_t>* touched) {
+  scope_->Add(p->ref->binding_name(), p->columns);
+  p->planned = true;
+  for (const Hit& h : p->hits) {
+    Ref& r = refs_[h.ref];
+    const bool was = r.in_scope == 1;
+    r.in_scope += h.count;
+    const bool now = r.in_scope == 1;
+    uint32_t& unresolved = conj_[r.conjunct].unresolved[r.side];
+    if (was && !now) unresolved++;
+    if (!was && now) unresolved--;
+    touched->push_back(r.conjunct);
+  }
+}
+
+std::vector<uint32_t> JoinPlanner::BoundIn(std::vector<uint32_t> ids) const {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  ids.erase(std::remove_if(ids.begin(), ids.end(),
+                           [&](uint32_t ci) {
+                             return conj_[ci].used || !conj_[ci].Bound();
+                           }),
+            ids.end());
+  return ids;
+}
+
+Status JoinPlanner::AddFilter(Built* b, const std::vector<uint32_t>& ids,
+                              const Scope& scope) {
+  if (ids.empty()) return Status::OK();
+  std::vector<ExprPtr> preds;
+  for (uint32_t ci : ids) {
+    MTDB_ASSIGN_OR_RETURN(ExprPtr e, BindExpr(*conj_[ci].expr, scope));
+    preds.push_back(std::move(e));
+    conj_[ci].used = true;
+  }
+  b->exec = std::make_unique<FilterExecutor>(std::move(b->exec),
+                                             JoinConjuncts(std::move(preds)));
+  planner_.Wrap(b, [&] {
+    std::string text = "Filter [";
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (i > 0) text += " AND ";
+      text += sql::ToSql(*conj_[ids[i]].expr);
+    }
+    return text + "]";
+  });
+  return Status::OK();
+}
+
+Result<Built> JoinPlanner::Plan(
+    const SelectStmt& stmt, const std::vector<const ParsedExpr*>& conjuncts) {
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM list must not be empty");
   }
-  std::vector<PendingRef> pending;
-  for (const TableRef& ref : stmt.from) {
-    PendingRef p;
-    p.ref = &ref;
-    if (!ref.is_subquery()) {
-      p.table = catalog_->GetTable(ref.table_name);
+  pending_.resize(stmt.from.size());
+  for (size_t i = 0; i < stmt.from.size(); ++i) {
+    Pending& p = pending_[i];
+    p.ref = &stmt.from[i];
+    if (!p.ref->is_subquery()) {
+      p.table = planner_.catalog()->GetTable(p.ref->table_name);
       if (p.table == nullptr) {
-        return Status::NotFound("no such table: " + ref.table_name);
+        return Status::NotFound("no such table: " + p.ref->table_name);
       }
+      p.columns = Columns(&p.table->schema);
     }
-    pending.push_back(p);
   }
-  std::vector<bool> used(conjuncts->size(), false);
+  // Derived tables do not see the outer scope, so they are planned first:
+  // the analysis needs their output columns.
+  for (Pending& p : pending_) {
+    if (p.table != nullptr) continue;
+    MTDB_ASSIGN_OR_RETURN(p.derived, planner_.PlanDerived(*p.ref));
+    p.columns = Columns(&p.derived.exec->schema());
+  }
+  Analyse(conjuncts);
 
   // Pick the driving table.
   size_t driver = 0;
-  if (mode_ == PlannerMode::kAdvanced) {
+  if (planner_.mode() == PlannerMode::kAdvanced) {
     int best = -1;
-    for (size_t i = 0; i < pending.size(); ++i) {
-      int score = ScoreRef(pending[i], *conjuncts);
+    for (size_t i = 0; i < pending_.size(); ++i) {
+      const int score = DriverScore(pending_[i]);
       if (score > best) {
         best = score;
         driver = i;
       }
     }
   }
-
   Built current;
+  std::vector<uint32_t> touched;
   {
-    PendingRef& p = pending[driver];
+    Pending& p = pending_[driver];
     if (p.table != nullptr) {
-      MTDB_ASSIGN_OR_RETURN(
-          current,
-          PlanBaseTableAccess(p.table, p.ref->binding_name(), conjuncts, &used));
+      MTDB_ASSIGN_OR_RETURN(current, PlanAccess(&p));
     } else {
-      MTDB_ASSIGN_OR_RETURN(current, PlanDerived(*p.ref));
+      current = std::move(p.derived);
     }
-    OutputSchema schema = current.exec->schema();
-    scope->Add(p.ref->binding_name(), schema);
-    p.planned = true;
+    AddToScope(&p, &touched);
   }
+  // A base driver has filtered on everything it binds; what a derived
+  // driver binds (constant conjuncts included) waits for the first join.
+  touched.insert(touched.end(), constant_.begin(), constant_.end());
 
-  size_t remaining = pending.size() - 1;
-  while (remaining > 0) {
-    // Choose the next table to join.
-    size_t next = pending.size();
-    const ParsedExpr* join_conjunct = nullptr;
-    if (mode_ == PlannerMode::kNaive) {
-      for (size_t i = 0; i < pending.size(); ++i) {
-        if (!pending[i].planned) {
-          next = i;
-          break;
-        }
+  for (size_t remaining = pending_.size() - 1; remaining > 0; --remaining) {
+    size_t next = pending_.size();
+    if (planner_.mode() == PlannerMode::kNaive) {
+      for (size_t i = 0; i < pending_.size() && next == pending_.size(); ++i) {
+        if (!pending_[i].planned) next = i;
       }
     } else {
-      // Prefer a table connected by an equality conjunct to the current
-      // scope; among those, prefer index-joinable base tables.
-      int best_score = -1;
-      for (size_t i = 0; i < pending.size(); ++i) {
-        if (pending[i].planned) continue;
-        int score = 0;
-        if (pending[i].table != nullptr) {
-          OutputSchema schema;
-          for (const Column& c : pending[i].table->schema.columns()) {
-            schema.names.push_back(c.name);
-            schema.types.push_back(c.type);
-          }
-          for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-            if (used[ci]) continue;
-            auto m = MatchColumnEquality(*(*conjuncts)[ci],
-                                         pending[i].ref->binding_name(), schema);
-            if (!m.has_value()) continue;
-            Scope probe = *scope;
-            if (IsConstant(*m->second) || FullyBound(*m->second, probe)) {
-              score = std::max(score, 10);
-              for (const auto& idx : pending[i].table->indexes) {
-                if (!idx->key_columns.empty() &&
-                    idx->key_columns[0] == m->first) {
-                  score = std::max(score, 20);
-                }
-              }
-            }
-          }
-        }
-        if (score > best_score) {
-          best_score = score;
-          next = i;
-        }
-      }
+      next = NextTable();
     }
-    PendingRef& p = pending[next];
-    const std::string binding = p.ref->binding_name();
-
+    Pending& p = pending_[next];
     if (p.table != nullptr) {
-      OutputSchema schema;
-      for (const Column& c : p.table->schema.columns()) {
-        schema.names.push_back(c.name);
-        schema.types.push_back(c.type);
-      }
-      // Find an index-join path: an index of the new table whose prefix
-      // columns all have equality conjuncts with left-bound/constant
-      // other sides. Naive mode considers only the first such conjunct.
-      const IndexInfo* join_index = nullptr;
-      std::vector<ExprPtr> key_exprs;
-      std::vector<size_t> key_conjuncts;
-      std::string key_text;
-      auto try_index = [&](const IndexInfo* idx) -> Result<bool> {
-        std::vector<ExprPtr> keys;
-        std::vector<size_t> consumed;
-        std::string text;
-        for (size_t k = 0; k < idx->key_columns.size(); ++k) {
-          bool found = false;
-          for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-            if (used[ci]) continue;
-            auto m = MatchColumnEquality(*(*conjuncts)[ci], binding, schema);
-            if (!m.has_value() || m->first != idx->key_columns[k]) continue;
-            if (!IsConstant(*m->second) && !FullyBound(*m->second, *scope)) {
-              continue;
-            }
-            MTDB_ASSIGN_OR_RETURN(ExprPtr kv, BindExpr(*m->second, *scope));
-            keys.push_back(std::move(kv));
-            consumed.push_back(ci);
-            if (!text.empty()) text += ", ";
-            text += p.table->schema.at(idx->key_columns[k]).name + "=" +
-                    sql::ToSql(*m->second);
-            found = true;
-            break;
-          }
-          if (!found) break;
-        }
-        if (keys.size() > key_exprs.size()) {
-          join_index = idx;
-          key_exprs = std::move(keys);
-          key_conjuncts = std::move(consumed);
-          key_text = std::move(text);
-        }
-        return true;
-      };
-      if (mode_ == PlannerMode::kAdvanced) {
-        for (const auto& idx : p.table->indexes) {
-          MTDB_ASSIGN_OR_RETURN(bool ok, try_index(idx.get()));
-          (void)ok;
-        }
-      } else {
-        // Naive: the index is dictated by the first (written order)
-        // usable equality conjunct on this table; the probe prefix is
-        // then extended along that index (MySQL-style ref access).
-        const IndexInfo* dictated = nullptr;
-        for (size_t ci = 0; ci < conjuncts->size() && dictated == nullptr;
-             ++ci) {
-          if (used[ci]) continue;
-          auto m = MatchColumnEquality(*(*conjuncts)[ci], binding, schema);
-          if (!m.has_value()) continue;
-          if (!IsConstant(*m->second) && !FullyBound(*m->second, *scope)) {
-            continue;
-          }
-          for (const auto& idx : p.table->indexes) {
-            if (!idx->key_columns.empty() &&
-                idx->key_columns[0] == m->first) {
-              dictated = idx.get();
-              break;
-            }
-          }
-        }
-        if (dictated != nullptr) {
-          MTDB_ASSIGN_OR_RETURN(bool ok, try_index(dictated));
-          (void)ok;
-        }
-      }
-
-      if (join_index != nullptr && !key_exprs.empty()) {
-        for (size_t ci : key_conjuncts) used[ci] = true;
-        std::string child_text = std::move(current.text);
-        current.exec = std::make_unique<IndexNestedLoopJoinExecutor>(
-            std::move(current.exec), p.table, join_index, std::move(key_exprs),
-            nullptr);
-        current.text = "IndexNLJoin " + p.table->name + " (" + binding +
-                       ") index=" + join_index->name + " keys=[" + key_text +
-                       "]\n" + Indent(child_text);
-        scope->Add(binding, schema);
-        (void)join_conjunct;
-      } else {
-        // Hash join when an equality conjunct exists, else NL cross join.
-        ssize_t hash_ci = -1;
-        const ParsedExpr* probe_side = nullptr;
-        size_t build_col = 0;
-        for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-          if (used[ci]) continue;
-          auto m = MatchColumnEquality(*(*conjuncts)[ci], binding, schema);
-          if (m.has_value() && !IsConstant(*m->second) &&
-              FullyBound(*m->second, *scope)) {
-            hash_ci = static_cast<ssize_t>(ci);
-            probe_side = m->second;
-            build_col = m->first;
-            break;
-          }
-        }
-        MTDB_ASSIGN_OR_RETURN(
-            Built right, PlanBaseTableAccess(p.table, binding, conjuncts, &used));
-        if (hash_ci >= 0) {
-          used[hash_ci] = true;
-          std::vector<ExprPtr> lk, rk;
-          MTDB_ASSIGN_OR_RETURN(ExprPtr l, BindExpr(*probe_side, *scope));
-          lk.push_back(std::move(l));
-          rk.push_back(std::make_unique<ColumnRefExpr>(
-              build_col, schema.names[build_col]));
-          std::string lt = std::move(current.text);
-          std::string rt = std::move(right.text);
-          current.exec = std::make_unique<HashJoinExecutor>(
-              std::move(current.exec), std::move(right.exec), std::move(lk),
-              std::move(rk), nullptr);
-          current.text = "HashJoin on " + schema.names[build_col] + "\n" +
-                         Indent(lt) + "\n" + Indent(rt);
-        } else {
-          std::string lt = std::move(current.text);
-          std::string rt = std::move(right.text);
-          auto mat = std::make_unique<MaterializeExecutor>(std::move(right.exec));
-          current.exec = std::make_unique<NestedLoopJoinExecutor>(
-              std::move(current.exec), std::move(mat), nullptr);
-          current.text = "NLJoin\n" + Indent(lt) + "\n" + Indent(rt);
-        }
-        scope->Add(binding, schema);
-      }
+      MTDB_ASSIGN_OR_RETURN(current, JoinBase(std::move(current), &p));
     } else {
-      // Derived table: materialize and nested-loop join.
-      MTDB_ASSIGN_OR_RETURN(Built right, PlanDerived(*p.ref));
-      OutputSchema schema = right.exec->schema();
-      std::string lt = std::move(current.text);
-      std::string rt = std::move(right.text);
+      // Derived table: materialized, nested-loop joined.
       current.exec = std::make_unique<NestedLoopJoinExecutor>(
-          std::move(current.exec), std::move(right.exec), nullptr);
-      current.text = "NLJoin\n" + Indent(lt) + "\n" + Indent(rt);
-      scope->Add(binding, schema);
+          std::move(current.exec), std::move(p.derived.exec), nullptr);
+      planner_.WrapJoin(&current, &p.derived, "NLJoin");
     }
-    p.planned = true;
-    remaining--;
-
+    AddToScope(&p, &touched);
     // Apply all now-bound conjuncts, preserving written order (this is
     // where kNaive keeps the author's predicate order).
-    std::vector<ExprPtr> filters;
-    std::string filter_text;
-    for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-      if (used[ci]) continue;
-      if (FullyBound(*(*conjuncts)[ci], *scope)) {
-        MTDB_ASSIGN_OR_RETURN(ExprPtr b, BindExpr(*(*conjuncts)[ci], *scope));
-        if (!filter_text.empty()) filter_text += " AND ";
-        filter_text += sql::ToSql(*(*conjuncts)[ci]);
-        filters.push_back(std::move(b));
-        used[ci] = true;
-      }
-    }
-    if (!filters.empty()) {
-      ExprPtr pred = JoinConjuncts(std::move(filters));
-      std::string child_text = std::move(current.text);
-      current.exec = std::make_unique<FilterExecutor>(std::move(current.exec),
-                                                      std::move(pred));
-      current.text = "Filter [" + filter_text + "]\n" + Indent(child_text);
-    }
+    MTDB_RETURN_IF_ERROR(AddFilter(&current, BoundIn(std::move(touched)),
+                                   *scope_));
+    touched.clear();
   }
 
   // Any unused conjunct now must bind (or it references unknown tables).
-  std::vector<ExprPtr> filters;
-  std::string filter_text;
-  for (size_t ci = 0; ci < conjuncts->size(); ++ci) {
-    if (used[ci]) continue;
-    MTDB_ASSIGN_OR_RETURN(ExprPtr b, BindExpr(*(*conjuncts)[ci], *scope));
-    if (!filter_text.empty()) filter_text += " AND ";
-    filter_text += sql::ToSql(*(*conjuncts)[ci]);
-    filters.push_back(std::move(b));
-    used[ci] = true;
+  std::vector<uint32_t> rest;
+  for (uint32_t ci = 0; ci < conj_.size(); ++ci) {
+    if (!conj_[ci].used) rest.push_back(ci);
   }
-  if (!filters.empty()) {
-    ExprPtr pred = JoinConjuncts(std::move(filters));
-    std::string child_text = std::move(current.text);
-    current.exec = std::make_unique<FilterExecutor>(std::move(current.exec),
-                                                    std::move(pred));
-    current.text = "Filter [" + filter_text + "]\n" + Indent(child_text);
-  }
+  MTDB_RETURN_IF_ERROR(AddFilter(&current, rest, *scope_));
   return current;
 }
 
-/// Collects aggregate calls in an expression (deduplicated by SQL text).
+/// Collects aggregate calls in an expression, each distinct call once.
 void CollectAggregates(const ParsedExpr& e,
                        std::vector<const ParsedExpr*>* aggs) {
   if (e.kind == PExprKind::kFuncCall && IsAggregateName(e.func_name)) {
-    std::string text = sql::ToSql(e);
     for (const ParsedExpr* a : *aggs) {
-      if (sql::ToSql(*a) == text) return;
+      if (sql::ExprEquals(*a, e)) return;
     }
     aggs->push_back(&e);
     return;
@@ -912,43 +1048,40 @@ void CollectAggregates(const ParsedExpr& e,
   for (const auto& a : e.args) CollectAggregates(*a, aggs);
 }
 
-/// Rewrites an expression over the aggregate output: leaves matching a
+/// Rewrites an expression over the aggregate output: leaves equal to a
 /// group expression or an aggregate call become column refs into the
 /// HashAgg output row.
-Result<ExprPtr> BindOverAggOutput(
-    const ParsedExpr& e, const std::vector<std::string>& group_texts,
-    const std::vector<std::string>& agg_texts,
-    const std::vector<std::string>& out_names) {
-  std::string text = sql::ToSql(e);
-  for (size_t i = 0; i < group_texts.size(); ++i) {
-    if (group_texts[i] == text) {
+Result<ExprPtr> BindOverAggOutput(const ParsedExpr& e,
+                                  const std::vector<const ParsedExpr*>& groups,
+                                  const std::vector<const ParsedExpr*>& aggs,
+                                  const std::vector<std::string>& out_names) {
+  for (size_t i = 0; i < groups.size(); ++i) {
+    if (sql::ExprEquals(*groups[i], e)) {
       return ExprPtr(std::make_unique<ColumnRefExpr>(i, out_names[i]));
     }
   }
-  for (size_t i = 0; i < agg_texts.size(); ++i) {
-    if (agg_texts[i] == text) {
-      size_t pos = group_texts.size() + i;
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (sql::ExprEquals(*aggs[i], e)) {
+      size_t pos = groups.size() + i;
       return ExprPtr(std::make_unique<ColumnRefExpr>(pos, out_names[pos]));
     }
   }
   // Also allow a bare column name to match a group expr of form t.col.
   if (e.kind == PExprKind::kColumnRef && e.table.empty()) {
-    for (size_t i = 0; i < group_texts.size(); ++i) {
-      const std::string& g = group_texts[i];
-      size_t dot = g.rfind('.');
-      std::string tail = dot == std::string::npos ? g : g.substr(dot + 1);
-      if (IdentEquals(tail, e.column)) {
+    for (size_t i = 0; i < groups.size(); ++i) {
+      if (groups[i]->kind == PExprKind::kColumnRef &&
+          IdentEquals(groups[i]->column, e.column)) {
         return ExprPtr(std::make_unique<ColumnRefExpr>(i, out_names[i]));
       }
     }
   }
+  auto bind = [&](const ParsedExpr& child) {
+    return BindOverAggOutput(child, groups, aggs, out_names);
+  };
   switch (e.kind) {
     case PExprKind::kBinary: {
-      MTDB_ASSIGN_OR_RETURN(
-          ExprPtr l, BindOverAggOutput(*e.left, group_texts, agg_texts, out_names));
-      MTDB_ASSIGN_OR_RETURN(
-          ExprPtr r,
-          BindOverAggOutput(*e.right, group_texts, agg_texts, out_names));
+      MTDB_ASSIGN_OR_RETURN(ExprPtr l, bind(*e.left));
+      MTDB_ASSIGN_OR_RETURN(ExprPtr r, bind(*e.right));
       switch (e.binary_op) {
         case BinaryOp::kAnd:
           return ExprPtr(std::make_unique<AndExpr>(std::move(l), std::move(r)));
@@ -984,8 +1117,7 @@ Result<ExprPtr> BindOverAggOutput(
     case PExprKind::kParam:
       return ExprPtr(std::make_unique<ParamExpr>(e.param_ordinal));
     case PExprKind::kUnary: {
-      MTDB_ASSIGN_OR_RETURN(
-          ExprPtr c, BindOverAggOutput(*e.left, group_texts, agg_texts, out_names));
+      MTDB_ASSIGN_OR_RETURN(ExprPtr c, bind(*e.left));
       if (e.unary_op == sql::UnaryOp::kNot) {
         return ExprPtr(std::make_unique<NotExpr>(std::move(c)));
       }
@@ -994,50 +1126,45 @@ Result<ExprPtr> BindOverAggOutput(
           std::move(c)));
     }
     case PExprKind::kIsNull: {
-      MTDB_ASSIGN_OR_RETURN(
-          ExprPtr c, BindOverAggOutput(*e.left, group_texts, agg_texts, out_names));
+      MTDB_ASSIGN_OR_RETURN(ExprPtr c, bind(*e.left));
       return ExprPtr(std::make_unique<IsNullExpr>(std::move(c),
                                                   e.is_null_negated));
     }
     case PExprKind::kLike: {
-      MTDB_ASSIGN_OR_RETURN(
-          ExprPtr v, BindOverAggOutput(*e.left, group_texts, agg_texts, out_names));
-      MTDB_ASSIGN_OR_RETURN(
-          ExprPtr pat,
-          BindOverAggOutput(*e.right, group_texts, agg_texts, out_names));
+      MTDB_ASSIGN_OR_RETURN(ExprPtr v, bind(*e.left));
+      MTDB_ASSIGN_OR_RETURN(ExprPtr pat, bind(*e.right));
       return ExprPtr(std::make_unique<LikeExpr>(std::move(v), std::move(pat),
                                                 e.like_negated));
     }
     case PExprKind::kFuncCall: {
       std::optional<TypeId> cast = CastTargetOf(e.func_name);
       if (cast.has_value() && e.args.size() == 1) {
-        MTDB_ASSIGN_OR_RETURN(
-            ExprPtr c,
-            BindOverAggOutput(*e.args[0], group_texts, agg_texts, out_names));
+        MTDB_ASSIGN_OR_RETURN(ExprPtr c, bind(*e.args[0]));
         return ExprPtr(std::make_unique<CastExpr>(std::move(c), *cast));
       }
-      return Status::InvalidArgument(
-          "expression references a non-grouped column: " + text);
+      break;
     }
     default:
-      return Status::InvalidArgument(
-          "expression references a non-grouped column: " + text);
+      break;
   }
+  return Status::InvalidArgument(
+      "expression references a non-grouped column: " + sql::ToSql(e));
 }
 
 Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
-  std::unique_ptr<SelectStmt> owned = input.Clone();
-  SelectStmt* stmt = owned.get();
-  if (mode_ == PlannerMode::kAdvanced) {
-    FlattenDerivedTables(stmt);
+  // Unnesting rewrites the statement, so only then is it copied.
+  std::unique_ptr<SelectStmt> owned;
+  const SelectStmt* stmt = &input;
+  if (mode_ == PlannerMode::kAdvanced && HasFlattenable(input)) {
+    owned = input.Clone();
+    FlattenDerivedTables(owned.get());
+    stmt = owned.get();
   }
-  std::vector<ParsedExprPtr> conjuncts;
-  if (stmt->where != nullptr) {
-    sql::SplitParsedConjuncts(*stmt->where, &conjuncts);
-  }
+  std::vector<const ParsedExpr*> conjuncts;
+  sql::CollectConjuncts(stmt->where.get(), &conjuncts);
   Scope scope;
   MTDB_ASSIGN_OR_RETURN(Built current,
-                        PlanFromWhere(*stmt, &scope, &conjuncts));
+                        JoinPlanner(*this, &scope).Plan(*stmt, conjuncts));
 
   // Aggregation.
   bool has_agg = !stmt->group_by.empty();
@@ -1046,7 +1173,8 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
   }
   if (stmt->having != nullptr && HasAggregate(*stmt->having)) has_agg = true;
 
-  std::vector<std::string> group_texts, agg_texts, agg_out_names;
+  std::vector<const ParsedExpr*> groups, aggs;
+  std::vector<std::string> agg_out_names;
   if (has_agg) {
     if (stmt->select_star) {
       return Status::InvalidArgument("SELECT * with aggregation");
@@ -1056,31 +1184,27 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
     std::vector<TypeId> out_types;
     for (const auto& g : stmt->group_by) {
       MTDB_ASSIGN_OR_RETURN(ExprPtr b, BindExpr(*g, scope));
-      std::string text = sql::ToSql(*g);
-      group_texts.push_back(text);
-      out_names.push_back(text);
+      groups.push_back(g.get());
+      out_names.push_back(sql::ToSql(*g));
       out_types.push_back(TypeId::kNull);
       group_exprs.push_back(std::move(b));
     }
-    std::vector<const ParsedExpr*> agg_nodes;
-    for (const auto& item : stmt->items) CollectAggregates(*item.expr, &agg_nodes);
-    if (stmt->having != nullptr) CollectAggregates(*stmt->having, &agg_nodes);
-    for (const auto& o : stmt->order_by) CollectAggregates(*o.expr, &agg_nodes);
+    for (const auto& item : stmt->items) CollectAggregates(*item.expr, &aggs);
+    if (stmt->having != nullptr) CollectAggregates(*stmt->having, &aggs);
+    for (const auto& o : stmt->order_by) CollectAggregates(*o.expr, &aggs);
 
     std::vector<AggSpec> specs;
-    for (const ParsedExpr* a : agg_nodes) {
+    for (const ParsedExpr* a : aggs) {
       AggSpec spec;
-      std::string text = sql::ToSql(*a);
-      agg_texts.push_back(text);
-      out_names.push_back(text);
+      spec.name = sql::ToSql(*a);
+      out_names.push_back(spec.name);
       out_types.push_back(TypeId::kNull);
-      spec.name = text;
       if (a->func_star) {
         spec.kind = AggKind::kCountStar;
       } else {
         if (a->args.size() != 1) {
           return Status::InvalidArgument("aggregate needs one argument: " +
-                                         text);
+                                         spec.name);
         }
         MTDB_ASSIGN_OR_RETURN(spec.arg, BindExpr(*a->args[0], scope));
         if (a->func_name == "count") {
@@ -1098,40 +1222,36 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
       specs.push_back(std::move(spec));
     }
     agg_out_names = out_names;
-    std::string child_text = std::move(current.text);
     current.exec = std::make_unique<HashAggExecutor>(
         std::move(current.exec), std::move(group_exprs), std::move(specs),
         std::move(out_names), std::move(out_types));
-    current.text = "HashAgg groups=" + std::to_string(group_texts.size()) +
-                   " aggs=" + std::to_string(agg_texts.size()) + "\n" +
-                   Indent(child_text);
+    Wrap(&current, [&] {
+      return "HashAgg groups=" + std::to_string(groups.size()) +
+             " aggs=" + std::to_string(aggs.size());
+    });
 
     if (stmt->having != nullptr) {
       MTDB_ASSIGN_OR_RETURN(
           ExprPtr pred,
-          BindOverAggOutput(*stmt->having, group_texts, agg_texts, agg_out_names));
-      std::string t = std::move(current.text);
+          BindOverAggOutput(*stmt->having, groups, aggs, agg_out_names));
       current.exec = std::make_unique<FilterExecutor>(std::move(current.exec),
                                                       std::move(pred));
-      current.text = "Filter [HAVING]\n" + Indent(t);
+      Wrap(&current, [] { return std::string("Filter [HAVING]"); });
     }
   }
+  auto bind_output = [&](const ParsedExpr& e) -> Result<ExprPtr> {
+    if (has_agg) return BindOverAggOutput(e, groups, aggs, agg_out_names);
+    return BindExpr(e, scope);
+  };
 
   // Projection (+ hidden columns for ORDER BY expressions not projected).
   std::vector<ExprPtr> proj;
   std::vector<std::string> proj_names;
-  std::vector<std::string> item_texts;
-  bool identity = stmt->select_star;
+  std::vector<const ParsedExpr*> proj_exprs;
+  const bool identity = stmt->select_star;
   if (!identity) {
     for (const auto& item : stmt->items) {
-      ExprPtr bound;
-      if (has_agg) {
-        MTDB_ASSIGN_OR_RETURN(
-            bound,
-            BindOverAggOutput(*item.expr, group_texts, agg_texts, agg_out_names));
-      } else {
-        MTDB_ASSIGN_OR_RETURN(bound, BindExpr(*item.expr, scope));
-      }
+      MTDB_ASSIGN_OR_RETURN(ExprPtr bound, bind_output(*item.expr));
       std::string name = item.alias;
       if (name.empty()) {
         if (item.expr->kind == PExprKind::kColumnRef) {
@@ -1140,7 +1260,7 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
           name = sql::ToSql(*item.expr);
         }
       }
-      item_texts.push_back(sql::ToSql(*item.expr));
+      proj_exprs.push_back(item.expr.get());
       proj_names.push_back(std::move(name));
       proj.push_back(std::move(bound));
     }
@@ -1154,52 +1274,39 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
   std::vector<BoundOrder> bound_order;
   size_t hidden = 0;
   if (!stmt->order_by.empty() && !identity) {
-    {
-      for (const auto& o : stmt->order_by) {
-        std::string text = sql::ToSql(*o.expr);
-        // Match a projected item by alias or text.
-        std::optional<size_t> pos;
-        for (size_t i = 0; i < item_texts.size(); ++i) {
-          if (item_texts[i] == text ||
-              IdentEquals(proj_names[i], text)) {
-            pos = i;
-            break;
-          }
+    for (const auto& o : stmt->order_by) {
+      const ParsedExpr& e = *o.expr;
+      const bool column = e.kind == PExprKind::kColumnRef;
+      // Match a projected item by expression or by alias.
+      std::optional<size_t> pos;
+      for (size_t i = 0; i < proj_exprs.size() && !pos.has_value(); ++i) {
+        if (sql::ExprEquals(*proj_exprs[i], e) ||
+            (column && e.table.empty() &&
+             IdentEquals(proj_names[i], e.column))) {
+          pos = i;
         }
-        if (!pos.has_value() && o.expr->kind == PExprKind::kColumnRef) {
-          for (size_t i = 0; i < proj_names.size(); ++i) {
-            if (IdentEquals(proj_names[i], o.expr->column)) {
-              pos = i;
-              break;
-            }
-          }
-        }
-        if (!pos.has_value()) {
-          // Append as hidden projection column.
-          ExprPtr bound;
-          if (has_agg) {
-            MTDB_ASSIGN_OR_RETURN(
-                bound,
-                BindOverAggOutput(*o.expr, group_texts, agg_texts, agg_out_names));
-          } else {
-            MTDB_ASSIGN_OR_RETURN(bound, BindExpr(*o.expr, scope));
-          }
-          pos = proj.size();
-          proj.push_back(std::move(bound));
-          proj_names.push_back("$order" + std::to_string(hidden++));
-          item_texts.push_back(text);
-        }
-        bound_order.push_back({*pos, o.descending});
       }
+      for (size_t i = 0; column && i < proj_names.size() && !pos.has_value();
+           ++i) {
+        if (IdentEquals(proj_names[i], e.column)) pos = i;
+      }
+      if (!pos.has_value()) {
+        // Append as hidden projection column.
+        MTDB_ASSIGN_OR_RETURN(ExprPtr bound, bind_output(e));
+        pos = proj.size();
+        proj.push_back(std::move(bound));
+        proj_names.push_back("$order" + std::to_string(hidden++));
+        proj_exprs.push_back(&e);
+      }
+      bound_order.push_back({*pos, o.descending});
     }
   }
 
   if (!identity) {
     std::vector<TypeId> types(proj.size(), TypeId::kNull);
-    std::string t = std::move(current.text);
     current.exec = std::make_unique<ProjectExecutor>(
         std::move(current.exec), std::move(proj), proj_names, std::move(types));
-    current.text = "Project\n" + Indent(t);
+    Wrap(&current, [] { return std::string("Project"); });
     if (!bound_order.empty()) {
       std::vector<SortKey> keys;
       for (const BoundOrder& bo : bound_order) {
@@ -1207,10 +1314,9 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
             std::make_unique<ColumnRefExpr>(bo.column, proj_names[bo.column]),
             bo.descending});
       }
-      std::string t2 = std::move(current.text);
       current.exec =
           std::make_unique<SortExecutor>(std::move(current.exec), std::move(keys));
-      current.text = "Sort\n" + Indent(t2);
+      Wrap(&current, [] { return std::string("Sort"); });
     }
     if (hidden > 0) {
       // Drop the hidden order-by columns.
@@ -1224,11 +1330,10 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
         names.push_back(proj_names[i]);
         types.push_back(TypeId::kNull);
       }
-      std::string t2 = std::move(current.text);
       current.exec = std::make_unique<ProjectExecutor>(
           std::move(current.exec), std::move(narrow), std::move(names),
           std::move(types));
-      current.text = "Project (drop hidden)\n" + Indent(t2);
+      Wrap(&current, [] { return std::string("Project (drop hidden)"); });
     }
   } else if (!stmt->order_by.empty()) {
     // Identity projection with ORDER BY: sort over the full row.
@@ -1237,36 +1342,42 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
       MTDB_ASSIGN_OR_RETURN(ExprPtr b, BindExpr(*o.expr, scope));
       keys.push_back(SortKey{std::move(b), o.descending});
     }
-    std::string t = std::move(current.text);
     current.exec =
         std::make_unique<SortExecutor>(std::move(current.exec), std::move(keys));
-    current.text = "Sort\n" + Indent(t);
+    Wrap(&current, [] { return std::string("Sort"); });
   }
 
   if (stmt->distinct) {
-    std::string t = std::move(current.text);
     current.exec = std::make_unique<DistinctExecutor>(std::move(current.exec));
-    current.text = "Distinct\n" + Indent(t);
+    Wrap(&current, [] { return std::string("Distinct"); });
   }
   if (stmt->limit >= 0 || stmt->offset > 0) {
-    std::string t = std::move(current.text);
     current.exec = std::make_unique<LimitExecutor>(std::move(current.exec),
                                                    stmt->limit, stmt->offset);
-    current.text = "Limit " + std::to_string(stmt->limit) + " offset " +
-                   std::to_string(stmt->offset) + "\n" + Indent(t);
+    Wrap(&current, [&] {
+      return "Limit " + std::to_string(stmt->limit) + " offset " +
+             std::to_string(stmt->offset);
+    });
   }
   return current;
 }
 
 }  // namespace
 
-Result<PlannedQuery> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
-                                PlannerMode mode) {
-  SelectPlanner planner(catalog, mode);
+Result<ExecutorPtr> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
+                               PlannerMode mode) {
+  SelectPlanner planner(catalog, mode, /*explain=*/false);
   MTDB_ASSIGN_OR_RETURN(Built b, planner.Plan(stmt));
-  PlannedQuery out;
-  out.exec = std::move(b.exec);
-  out.plan_text = std::move(b.text);
+  return std::move(b.exec);
+}
+
+Result<std::string> ExplainSelect(const sql::SelectStmt& stmt,
+                                  Catalog* catalog, PlannerMode mode) {
+  SelectPlanner planner(catalog, mode, /*explain=*/true);
+  MTDB_ASSIGN_OR_RETURN(Built b, planner.Plan(stmt));
+  std::string out;
+  Render(b.text, 0, &out);
+  out.pop_back();  // the last line's newline
   return out;
 }
 

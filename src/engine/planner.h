@@ -22,16 +22,16 @@ namespace mtdb {
 ///    matters, as the paper measured (a factor of 5).
 enum class PlannerMode { kNaive, kAdvanced };
 
-/// A compiled query: the executor tree plus a human-readable plan
-/// rendering (the "debug/explain facility" used in Test 1/2).
-struct PlannedQuery {
-  ExecutorPtr exec;
-  std::string plan_text;
-};
+/// Compiles a bound-free SELECT AST against the catalog into an
+/// executor tree. No plan text is built.
+Result<ExecutorPtr> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
+                               PlannerMode mode);
 
-/// Compiles a bound-free SELECT AST against the catalog.
-Result<PlannedQuery> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
-                                PlannerMode mode);
+/// Plans `stmt` exactly as PlanSelect does and returns the plan as
+/// indented text, one operator per line (the "debug/explain facility"
+/// used in Test 1/2).
+Result<std::string> ExplainSelect(const sql::SelectStmt& stmt,
+                                  Catalog* catalog, PlannerMode mode);
 
 }  // namespace mtdb
 

@@ -8,23 +8,40 @@ namespace mtdb {
 
 namespace {
 
-OutputSchema SchemaOfTable(const TableInfo* table) {
-  OutputSchema out;
+void AppendTableColumns(const TableInfo* table, OutputSchema* out) {
   for (const Column& c : table->schema.columns()) {
-    out.names.push_back(c.name);
-    out.types.push_back(c.type);
+    out->names.push_back(c.name);
+    out->types.push_back(c.type);
   }
-  return out;
 }
 
-OutputSchema ConcatSchemas(const OutputSchema& a, const OutputSchema& b) {
-  OutputSchema out = a;
-  out.names.insert(out.names.end(), b.names.begin(), b.names.end());
-  out.types.insert(out.types.end(), b.types.begin(), b.types.end());
+OutputSchema SchemaOfTable(const TableInfo* table) {
+  OutputSchema out;
+  AppendTableColumns(table, &out);
   return out;
 }
 
 }  // namespace
+
+const OutputSchema& Executor::schema() const {
+  if (!schema_ready_) {
+    AppendColumns(&schema_);
+    schema_ready_ = true;
+  }
+  return schema_;
+}
+
+void Executor::AppendColumns(OutputSchema* out) const {
+  out->names.insert(out->names.end(), schema_.names.begin(),
+                    schema_.names.end());
+  out->types.insert(out->types.end(), schema_.types.begin(),
+                    schema_.types.end());
+}
+
+void Executor::SetSchema(OutputSchema schema) {
+  schema_ = std::move(schema);
+  schema_ready_ = true;
+}
 
 std::string HashKeyOf(const std::vector<ExprPtr>& exprs, const Row& row,
                       const ExecContext& ctx, Status* status) {
@@ -45,7 +62,7 @@ std::string HashKeyOf(const std::vector<ExprPtr>& exprs, const Row& row,
 
 SeqScanExecutor::SeqScanExecutor(TableInfo* table, ExprPtr predicate)
     : table_(table), predicate_(std::move(predicate)) {
-  schema_ = SchemaOfTable(table_);
+  SetSchema(SchemaOfTable(table_));
 }
 
 Status SeqScanExecutor::Init(const ExecContext&) {
@@ -81,7 +98,7 @@ IndexScanExecutor::IndexScanExecutor(TableInfo* table, const IndexInfo* index,
       index_(index),
       prefix_values_(std::move(prefix_values)),
       residual_(std::move(residual)) {
-  schema_ = SchemaOfTable(table_);
+  SetSchema(SchemaOfTable(table_));
 }
 
 Status IndexScanExecutor::Init(const ExecContext& ctx) {
@@ -124,8 +141,10 @@ Result<bool> IndexScanExecutor::Next(Row* out, const ExecContext& ctx) {
 // ----------------------------------------------------------------- Filter
 
 FilterExecutor::FilterExecutor(ExecutorPtr child, ExprPtr predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {
-  schema_ = child_->schema();
+    : child_(std::move(child)), predicate_(std::move(predicate)) {}
+
+void FilterExecutor::AppendColumns(OutputSchema* out) const {
+  child_->AppendColumns(out);
 }
 
 Status FilterExecutor::Init(const ExecContext& ctx) { return child_->Init(ctx); }
@@ -145,8 +164,7 @@ ProjectExecutor::ProjectExecutor(ExecutorPtr child, std::vector<ExprPtr> exprs,
                                  std::vector<std::string> names,
                                  std::vector<TypeId> types)
     : child_(std::move(child)), exprs_(std::move(exprs)) {
-  schema_.names = std::move(names);
-  schema_.types = std::move(types);
+  SetSchema(OutputSchema{std::move(names), std::move(types)});
 }
 
 Status ProjectExecutor::Init(const ExecContext& ctx) {
@@ -173,8 +191,11 @@ NestedLoopJoinExecutor::NestedLoopJoinExecutor(ExecutorPtr left,
                                                ExprPtr predicate)
     : left_(std::move(left)),
       right_(std::move(right)),
-      predicate_(std::move(predicate)) {
-  schema_ = ConcatSchemas(left_->schema(), right_->schema());
+      predicate_(std::move(predicate)) {}
+
+void NestedLoopJoinExecutor::AppendColumns(OutputSchema* out) const {
+  left_->AppendColumns(out);
+  right_->AppendColumns(out);
 }
 
 Status NestedLoopJoinExecutor::Init(const ExecContext& ctx) {
@@ -217,8 +238,11 @@ IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
       right_(right),
       right_index_(right_index),
       key_exprs_(std::move(key_exprs)),
-      residual_(std::move(residual)) {
-  schema_ = ConcatSchemas(left_->schema(), SchemaOfTable(right_));
+      residual_(std::move(residual)) {}
+
+void IndexNestedLoopJoinExecutor::AppendColumns(OutputSchema* out) const {
+  left_->AppendColumns(out);
+  AppendTableColumns(right_, out);
 }
 
 Status IndexNestedLoopJoinExecutor::Init(const ExecContext& ctx) {
@@ -289,8 +313,11 @@ HashJoinExecutor::HashJoinExecutor(ExecutorPtr left, ExecutorPtr right,
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)) {
-  schema_ = ConcatSchemas(left_->schema(), right_->schema());
+      residual_(std::move(residual)) {}
+
+void HashJoinExecutor::AppendColumns(OutputSchema* out) const {
+  left_->AppendColumns(out);
+  right_->AppendColumns(out);
 }
 
 Status HashJoinExecutor::Init(const ExecContext& ctx) {
@@ -349,8 +376,7 @@ HashAggExecutor::HashAggExecutor(ExecutorPtr child,
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)) {
-  schema_.names = std::move(names);
-  schema_.types = std::move(types);
+  SetSchema(OutputSchema{std::move(names), std::move(types)});
 }
 
 Status HashAggExecutor::Init(const ExecContext& ctx) {
@@ -459,8 +485,10 @@ Result<bool> HashAggExecutor::Next(Row* out, const ExecContext&) {
 // ------------------------------------------------------------------- Sort
 
 SortExecutor::SortExecutor(ExecutorPtr child, std::vector<SortKey> keys)
-    : child_(std::move(child)), keys_(std::move(keys)) {
-  schema_ = child_->schema();
+    : child_(std::move(child)), keys_(std::move(keys)) {}
+
+void SortExecutor::AppendColumns(OutputSchema* out) const {
+  child_->AppendColumns(out);
 }
 
 Status SortExecutor::Init(const ExecContext& ctx) {
@@ -504,8 +532,10 @@ Result<bool> SortExecutor::Next(Row* out, const ExecContext&) {
 // ------------------------------------------------------------------ Limit
 
 LimitExecutor::LimitExecutor(ExecutorPtr child, int64_t limit, int64_t offset)
-    : child_(std::move(child)), limit_(limit), offset_(offset) {
-  schema_ = child_->schema();
+    : child_(std::move(child)), limit_(limit), offset_(offset) {}
+
+void LimitExecutor::AppendColumns(OutputSchema* out) const {
+  child_->AppendColumns(out);
 }
 
 Status LimitExecutor::Init(const ExecContext& ctx) {
@@ -528,8 +558,10 @@ Result<bool> LimitExecutor::Next(Row* out, const ExecContext& ctx) {
 // --------------------------------------------------------------- Distinct
 
 DistinctExecutor::DistinctExecutor(ExecutorPtr child)
-    : child_(std::move(child)) {
-  schema_ = child_->schema();
+    : child_(std::move(child)) {}
+
+void DistinctExecutor::AppendColumns(OutputSchema* out) const {
+  child_->AppendColumns(out);
 }
 
 Status DistinctExecutor::Init(const ExecContext& ctx) {
@@ -553,8 +585,7 @@ ValuesExecutor::ValuesExecutor(std::vector<std::vector<ExprPtr>> rows,
                                std::vector<std::string> names,
                                std::vector<TypeId> types)
     : rows_(std::move(rows)) {
-  schema_.names = std::move(names);
-  schema_.types = std::move(types);
+  SetSchema(OutputSchema{std::move(names), std::move(types)});
 }
 
 Status ValuesExecutor::Init(const ExecContext&) {
@@ -576,8 +607,10 @@ Result<bool> ValuesExecutor::Next(Row* out, const ExecContext& ctx) {
 // ------------------------------------------------------------ Materialize
 
 MaterializeExecutor::MaterializeExecutor(ExecutorPtr child)
-    : child_(std::move(child)) {
-  schema_ = child_->schema();
+    : child_(std::move(child)) {}
+
+void MaterializeExecutor::AppendColumns(OutputSchema* out) const {
+  child_->AppendColumns(out);
 }
 
 Status MaterializeExecutor::Init(const ExecContext& ctx) {

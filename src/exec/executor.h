@@ -30,14 +30,28 @@ class Executor {
   /// Produces the next row; returns false at end of stream.
   virtual Result<bool> Next(Row* out, const ExecContext& ctx) = 0;
 
-  const OutputSchema& schema() const { return schema_; }
+  /// Output columns. Operators that pass their inputs' columns through
+  /// (joins, filters, sorts, ...) assemble them on first use, so a deep
+  /// join tree copies its column list once, where it is asked for, not
+  /// once per join.
+  const OutputSchema& schema() const;
+
+  /// Appends the output columns to `out` without building this
+  /// operator's own copy of them.
+  virtual void AppendColumns(OutputSchema* out) const;
 
   /// RID of the most recently returned base-table row, when this executor
   /// is a base-table scan (used by UPDATE/DELETE); nullptr otherwise.
   virtual const Rid* current_rid() const { return nullptr; }
 
  protected:
-  OutputSchema schema_;
+  /// Fixes the output columns of an operator that defines its own
+  /// (scans, projections, aggregates, VALUES).
+  void SetSchema(OutputSchema schema);
+
+ private:
+  mutable OutputSchema schema_;
+  mutable bool schema_ready_ = false;
 };
 
 using ExecutorPtr = std::unique_ptr<Executor>;
@@ -81,6 +95,7 @@ class FilterExecutor final : public Executor {
   FilterExecutor(ExecutorPtr child, ExprPtr predicate);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
   const Rid* current_rid() const override { return child_->current_rid(); }
 
  private:
@@ -107,6 +122,7 @@ class NestedLoopJoinExecutor final : public Executor {
   NestedLoopJoinExecutor(ExecutorPtr left, ExecutorPtr right, ExprPtr predicate);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
 
  private:
   ExecutorPtr left_, right_;
@@ -124,6 +140,7 @@ class IndexNestedLoopJoinExecutor final : public Executor {
                               std::vector<ExprPtr> key_exprs, ExprPtr residual);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
 
  private:
   Result<bool> AdvanceLeft(const ExecContext& ctx);
@@ -147,6 +164,7 @@ class HashJoinExecutor final : public Executor {
                    ExprPtr residual);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
 
  private:
   ExecutorPtr left_, right_;
@@ -201,6 +219,7 @@ class SortExecutor final : public Executor {
   SortExecutor(ExecutorPtr child, std::vector<SortKey> keys);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
 
  private:
   ExecutorPtr child_;
@@ -214,6 +233,7 @@ class LimitExecutor final : public Executor {
   LimitExecutor(ExecutorPtr child, int64_t limit, int64_t offset);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
 
  private:
   ExecutorPtr child_;
@@ -227,6 +247,7 @@ class DistinctExecutor final : public Executor {
   explicit DistinctExecutor(ExecutorPtr child);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
 
  private:
   ExecutorPtr child_;
@@ -255,6 +276,7 @@ class MaterializeExecutor final : public Executor {
   explicit MaterializeExecutor(ExecutorPtr child);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void AppendColumns(OutputSchema* out) const override;
 
  private:
   ExecutorPtr child_;

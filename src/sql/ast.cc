@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include "catalog/schema.h"
+
 namespace mtdb {
 namespace sql {
 
@@ -20,6 +22,46 @@ ParsedExprPtr ParsedExpr::Clone() const {
   for (const auto& a : args) out->args.push_back(a->Clone());
   out->func_star = func_star;
   return out;
+}
+
+bool ExprEquals(const ParsedExpr& a, const ParsedExpr& b) {
+  if (a.kind != b.kind) return false;
+  auto same = [](const ParsedExprPtr& x, const ParsedExprPtr& y) {
+    if (x == nullptr || y == nullptr) return x == y;
+    return ExprEquals(*x, *y);
+  };
+  switch (a.kind) {
+    case PExprKind::kLiteral:
+      return a.literal.type() == b.literal.type() &&
+             a.literal.is_null() == b.literal.is_null() &&
+             (a.literal.is_null() || a.literal == b.literal);
+    case PExprKind::kColumnRef:
+      return IdentEquals(a.table, b.table) && IdentEquals(a.column, b.column);
+    case PExprKind::kParam:
+      return a.param_ordinal == b.param_ordinal;
+    case PExprKind::kUnary:
+      return a.unary_op == b.unary_op && same(a.left, b.left);
+    case PExprKind::kBinary:
+      return a.binary_op == b.binary_op && same(a.left, b.left) &&
+             same(a.right, b.right);
+    case PExprKind::kIsNull:
+      return a.is_null_negated == b.is_null_negated && same(a.left, b.left);
+    case PExprKind::kLike:
+      return a.like_negated == b.like_negated && same(a.left, b.left) &&
+             same(a.right, b.right);
+    case PExprKind::kFuncCall:
+      if (!IdentEquals(a.func_name, b.func_name) ||
+          a.func_star != b.func_star || a.args.size() != b.args.size()) {
+        return false;
+      }
+      for (size_t i = 0; i < a.args.size(); ++i) {
+        if (!same(a.args[i], b.args[i])) return false;
+      }
+      return true;
+    case PExprKind::kStar:
+      return true;
+  }
+  return false;
 }
 
 ParsedExprPtr MakeLiteral(Value v) {
@@ -93,16 +135,6 @@ ParsedExprPtr AndTogether(ParsedExprPtr a, ParsedExprPtr b) {
   if (a == nullptr) return b;
   if (b == nullptr) return a;
   return MakeBinary(BinaryOp::kAnd, std::move(a), std::move(b));
-}
-
-void SplitParsedConjuncts(const ParsedExpr& e,
-                          std::vector<ParsedExprPtr>* out) {
-  if (e.kind == PExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
-    SplitParsedConjuncts(*e.left, out);
-    SplitParsedConjuncts(*e.right, out);
-    return;
-  }
-  out->push_back(e.Clone());
 }
 
 TableRef TableRef::Clone() const {

@@ -75,12 +75,15 @@ ParsedExprPtr MakeLike(ParsedExprPtr value, ParsedExprPtr pattern,
 ParsedExprPtr MakeFunc(std::string name, std::vector<ParsedExprPtr> args,
                        bool star);
 
+/// Structural equality: the same tree of operators, functions and
+/// values. Identifiers compare case-insensitively, as SQL resolves them;
+/// literals compare by type and value; parameters by ordinal. The
+/// planner matches GROUP BY, aggregate and ORDER BY expressions with it
+/// instead of comparing their printed SQL.
+bool ExprEquals(const ParsedExpr& a, const ParsedExpr& b);
+
 /// ANDs two (possibly null) predicates together.
 ParsedExprPtr AndTogether(ParsedExprPtr a, ParsedExprPtr b);
-
-/// Splits an expression into AND-ed conjuncts (clones).
-void SplitParsedConjuncts(const ParsedExpr& e,
-                          std::vector<ParsedExprPtr>* out);
 
 // ------------------------------------------------------------ statements
 

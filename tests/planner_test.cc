@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/chunk_folding_layout.h"
 #include "engine/database.h"
+#include "testbed/crm_schema.h"
 
 namespace mtdb {
 namespace {
@@ -155,6 +157,106 @@ TEST_F(PlannerTest, JoinOrderIndependenceOfResults) {
       EXPECT_EQ(a->rows[i][1].AsInt64(), b->rows[i][1].AsInt64());
     }
   }
+}
+
+TEST_F(PlannerTest, DuplicateAggregateCallsShareOneAggregate) {
+  auto plan = db_.Explain("SELECT COUNT(*), count(*) FROM chunkdata");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("HashAgg groups=0 aggs=1"), std::string::npos)
+      << *plan;
+  auto rows = db_.Query("SELECT COUNT(*), count(*) FROM chunkdata");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].AsInt64(), 100);
+  EXPECT_EQ(rows->rows[0][1].AsInt64(), 100);
+}
+
+TEST_F(PlannerTest, BareColumnMatchesQualifiedGroupBy) {
+  for (const char* sql :
+       {"SELECT chunk, COUNT(*) FROM chunkdata s0 GROUP BY s0.chunk "
+        "ORDER BY chunk",
+        "SELECT S0.Chunk, COUNT(*) FROM chunkdata s0 GROUP BY s0.chunk "
+        "ORDER BY s0.chunk"}) {
+    auto rows = db_.Query(sql);
+    ASSERT_TRUE(rows.ok()) << sql << ": " << rows.status().ToString();
+    ASSERT_EQ(rows->rows.size(), 2u) << sql;
+    for (int64_t chunk = 0; chunk < 2; ++chunk) {
+      EXPECT_EQ(rows->rows[chunk][0].AsInt64(), chunk) << sql;
+      EXPECT_EQ(rows->rows[chunk][1].AsInt64(), 50) << sql;
+    }
+  }
+  // A column that is not grouped is still rejected.
+  EXPECT_FALSE(
+      db_.Query("SELECT row, COUNT(*) FROM chunkdata GROUP BY chunk").ok());
+}
+
+TEST_F(PlannerTest, OrderByAliasAndAggregateUseProjectedColumns) {
+  const std::string by_alias =
+      "SELECT int1 AS v FROM chunkdata WHERE chunk = 1 AND row < 4 "
+      "ORDER BY v DESC";
+  auto plan = db_.Explain(by_alias);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("Sort"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("drop hidden"), std::string::npos) << *plan;
+  auto rows = db_.Query(by_alias);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->rows.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(rows->rows[i][0].AsInt64(), static_cast<int64_t>(9 - 3 * i));
+  }
+
+  const std::string by_aggregate =
+      "SELECT chunk, SUM(int1) FROM chunkdata GROUP BY chunk "
+      "ORDER BY sum(INT1) DESC";
+  plan = db_.Explain(by_aggregate);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("aggs=1"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("drop hidden"), std::string::npos) << *plan;
+  rows = db_.Query(by_aggregate);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->rows.size(), 2u);
+  EXPECT_EQ(rows->rows[0][0].AsInt64(), 1);  // 3 * (0 + ... + 49)
+  EXPECT_EQ(rows->rows[1][0].AsInt64(), 0);  // 2 * (0 + ... + 49)
+}
+
+// An index fully matched by constant equalities drives the plan even when
+// another table offers a longer partial prefix. Chunk Folding's lookup by
+// id starts at cf_account's (tenant, id) index rather than scanning the
+// tenant's rows in the folded chunk table and probing cf_account per row.
+TEST(PlannerDriverTest, ChunkFoldingLookupByIdDrivesFromConventionalTable) {
+  mapping::AppSchema app = testbed::BuildCrmAppSchema();
+  Database db;
+  mapping::ChunkFoldingLayout layout(&db, &app);
+  ASSERT_TRUE(layout.Bootstrap().ok());
+  ASSERT_TRUE(layout.CreateTenant(0).ok());
+  ASSERT_TRUE(layout.EnableExtension(0, "healthcare_account").ok());
+  ASSERT_TRUE(layout
+                  .Execute(0,
+                           "INSERT INTO account (id, name, beds) VALUES "
+                           "(1, 'a', 10), (2, 'b', 20), (3, 'c', 30)")
+                  .ok());
+
+  for (const char* sql : {"SELECT * FROM account WHERE id = ?",
+                          "SELECT name, beds FROM account WHERE id = ?"}) {
+    auto explained = layout.ExplainMapping(0, sql, {Value::Int64(2)});
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    const std::string& plan = explained->plan_text;
+    // The driver is the innermost operator: the plan's last line.
+    const std::string driver = plan.substr(plan.rfind('\n') + 1);
+    EXPECT_NE(driver.find("IndexScan cf_account"), std::string::npos) << plan;
+    EXPECT_NE(driver.find("index=ix_cf_account_id"), std::string::npos)
+        << plan;
+    EXPECT_NE(driver.find("id=?"), std::string::npos) << plan;
+
+    auto rows = layout.Query(0, sql, {Value::Int64(2)});
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->rows.size(), 1u);
+  }
+  auto beds = layout.Query(0, "SELECT beds FROM account WHERE id = ?",
+                           {Value::Int64(3)});
+  ASSERT_TRUE(beds.ok());
+  ASSERT_EQ(beds->rows.size(), 1u);
+  EXPECT_EQ(beds->rows[0][0].AsInt64(), 30);
 }
 
 }  // namespace

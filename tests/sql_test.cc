@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "sql/ast_util.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -71,8 +72,8 @@ TEST(ParserTest, ExplicitJoinFlattensIntoWhere) {
   ASSERT_TRUE(stmt.ok());
   EXPECT_EQ((*stmt)->from.size(), 2u);
   // ON + WHERE are both conjuncts now.
-  std::vector<ParsedExprPtr> conjuncts;
-  SplitParsedConjuncts(*(*stmt)->where, &conjuncts);
+  std::vector<const ParsedExpr*> conjuncts;
+  CollectConjuncts((*stmt)->where.get(), &conjuncts);
   EXPECT_EQ(conjuncts.size(), 2u);
 }
 
@@ -101,8 +102,8 @@ TEST(ParserTest, GroupByHavingOrderLimit) {
 TEST(ParserTest, Params) {
   auto stmt = ParseSelect("SELECT a FROM t WHERE b = ? AND c = ?");
   ASSERT_TRUE(stmt.ok());
-  std::vector<ParsedExprPtr> conjuncts;
-  SplitParsedConjuncts(*(*stmt)->where, &conjuncts);
+  std::vector<const ParsedExpr*> conjuncts;
+  CollectConjuncts((*stmt)->where.get(), &conjuncts);
   ASSERT_EQ(conjuncts.size(), 2u);
   EXPECT_EQ(conjuncts[0]->right->param_ordinal, 0u);
   EXPECT_EQ(conjuncts[1]->right->param_ordinal, 1u);
@@ -215,8 +216,8 @@ TEST(ParserTest, LikePredicate) {
   auto stmt = ParseSelect("SELECT a FROM t WHERE name LIKE 'ab%' AND "
                           "city NOT LIKE '_x%'");
   ASSERT_TRUE(stmt.ok());
-  std::vector<ParsedExprPtr> conjuncts;
-  SplitParsedConjuncts(*(*stmt)->where, &conjuncts);
+  std::vector<const ParsedExpr*> conjuncts;
+  CollectConjuncts((*stmt)->where.get(), &conjuncts);
   ASSERT_EQ(conjuncts.size(), 2u);
   EXPECT_EQ(conjuncts[0]->kind, PExprKind::kLike);
   EXPECT_FALSE(conjuncts[0]->like_negated);
@@ -264,6 +265,45 @@ TEST(AstTest, CloneIsDeep) {
   EXPECT_EQ(ToSql(**stmt), ToSql(*clone));
   clone->where = nullptr;
   EXPECT_NE((*stmt)->where, nullptr);
+}
+
+/// The first select item of `sql`, parsed.
+ParsedExprPtr ItemOf(const std::string& sql) {
+  auto stmt = ParseSelect("SELECT " + sql + " FROM t");
+  EXPECT_TRUE(stmt.ok()) << sql;
+  if (!stmt.ok()) return MakeLiteral(Value());
+  return std::move((*stmt)->items[0].expr);
+}
+
+TEST(AstTest, ExprEqualsIsStructural) {
+  EXPECT_TRUE(ExprEquals(*ItemOf("COUNT(*)"), *ItemOf("count(*)")));
+  EXPECT_TRUE(ExprEquals(*ItemOf("SUM(amount)"), *ItemOf("sum(AMOUNT)")));
+  EXPECT_TRUE(ExprEquals(*ItemOf("T.Status"), *ItemOf("t.status")));
+  EXPECT_TRUE(ExprEquals(*ItemOf("(a + 1) * b"), *ItemOf("(a+1)*b")));
+  EXPECT_TRUE(ExprEquals(*ItemOf("a IS NOT NULL"), *ItemOf("a IS NOT NULL")));
+  EXPECT_FALSE(ExprEquals(*ItemOf("COUNT(*)"), *ItemOf("COUNT(a)")));
+  EXPECT_FALSE(ExprEquals(*ItemOf("status"), *ItemOf("t.status")));
+  EXPECT_FALSE(ExprEquals(*ItemOf("a + 1"), *ItemOf("1 + a")));
+  EXPECT_FALSE(ExprEquals(*ItemOf("a - 1"), *ItemOf("a + 1")));
+  EXPECT_FALSE(ExprEquals(*ItemOf("a IS NULL"), *ItemOf("a IS NOT NULL")));
+  EXPECT_FALSE(ExprEquals(*ItemOf("a LIKE 'x%'"), *ItemOf("a LIKE 'X%'")));
+  EXPECT_FALSE(ExprEquals(*ItemOf("MIN(a)"), *ItemOf("MAX(a)")));
+}
+
+TEST(AstTest, ExprEqualsComparesLiteralsByTypeAndValue) {
+  EXPECT_TRUE(ExprEquals(*MakeLiteral(Value::Int64(5)),
+                         *MakeLiteral(Value::Int64(5))));
+  EXPECT_FALSE(ExprEquals(*MakeLiteral(Value::Int64(5)),
+                          *MakeLiteral(Value::Int64(6))));
+  // The printer renders both as 5; they are still different literals.
+  EXPECT_FALSE(ExprEquals(*MakeLiteral(Value::Int64(5)),
+                          *MakeLiteral(Value::Int32(5))));
+  EXPECT_TRUE(ExprEquals(*MakeLiteral(Value()), *MakeLiteral(Value())));
+  EXPECT_FALSE(ExprEquals(*MakeLiteral(Value()),
+                          *MakeLiteral(Value::String(""))));
+  // Parameters print as ? but are told apart by ordinal.
+  EXPECT_TRUE(ExprEquals(*MakeParam(0), *MakeParam(0)));
+  EXPECT_FALSE(ExprEquals(*MakeParam(0), *MakeParam(1)));
 }
 
 }  // namespace
