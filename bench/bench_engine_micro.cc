@@ -6,8 +6,11 @@
 #include "common/key_encoding.h"
 #include "common/rng.h"
 #include "engine/database.h"
+#include "engine/plan_cache.h"
 #include "engine/planner.h"
 #include "sql/parser.h"
+#include "sql/printer.h"
+#include "sql/shape.h"
 #include "index/btree.h"
 #include "storage/row_codec.h"
 
@@ -175,10 +178,84 @@ void BM_PlanReconstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanReconstruction)->Arg(1)->Arg(4)->Arg(12)->Arg(24);
 
-/// Planning plus the EXPLAIN text, as Database::ExplainAst returns it.
+/// What a plan-cache hit costs instead of planning: encode the shape,
+/// take the idle tree out of its entry, release it and put it back.
+void BM_PlanCacheHit(benchmark::State& state) {
+  PivotFixture f(static_cast<int>(state.range(0)));
+  if (f.stmt == nullptr) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  PlanCache cache;
+  sql::SelectShape shape;
+  shape.key.push_back(static_cast<char>(PlannerMode::kAdvanced));
+  sql::EncodeShape(*f.stmt, &shape);
+  std::unique_ptr<sql::SelectStmt> lifted = f.stmt->Clone();
+  sql::LiftSlots(lifted.get(), shape.first_slot);
+  auto plan = PlanSelect(*lifted, f.db.catalog(), PlannerMode::kAdvanced);
+  if (!plan.ok()) {
+    state.SkipWithError("planning failed");
+    return;
+  }
+  cache.Put(shape.key, cache.Take(shape.key, PlanCache::Want::kPlan).epoch,
+            std::make_shared<PlanCache::Info>(), std::move(*plan), nullptr);
+  for (auto _ : state) {
+    sql::SelectShape s;
+    s.key.push_back(static_cast<char>(PlannerMode::kAdvanced));
+    sql::EncodeShape(*f.stmt, &s);
+    PlanCache::Checkout c = cache.Take(s.key, PlanCache::Want::kPlan);
+    c.plan->Release();
+    cache.Put(s.key, c.epoch, std::move(c.info), std::move(c.plan), nullptr);
+  }
+}
+BENCHMARK(BM_PlanCacheHit)->Arg(1)->Arg(24);
+
+/// The shape key alone, against printing the same statement as SQL.
+void BM_ShapeEncode(benchmark::State& state) {
+  PivotFixture f(static_cast<int>(state.range(0)));
+  if (f.stmt == nullptr) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    sql::SelectShape shape;
+    sql::EncodeShape(*f.stmt, &shape);
+    benchmark::DoNotOptimize(shape);
+  }
+}
+BENCHMARK(BM_ShapeEncode)->Arg(1)->Arg(24);
+
+void BM_StatementToSql(benchmark::State& state) {
+  PivotFixture f(static_cast<int>(state.range(0)));
+  if (f.stmt == nullptr) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sql::ToSql(*f.stmt));
+  }
+}
+BENCHMARK(BM_StatementToSql)->Arg(1)->Arg(24);
+
+/// Planning plus the EXPLAIN text (Database::ExplainAst on a miss).
 void BM_PlanAndExplain(benchmark::State& state) {
   PivotFixture f(static_cast<int>(state.range(0)));
   if (f.stmt == nullptr) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto text = ExplainSelect(*f.stmt, f.db.catalog(), PlannerMode::kAdvanced);
+    benchmark::DoNotOptimize(text);
+  }
+}
+BENCHMARK(BM_PlanAndExplain)->Arg(24);
+
+/// Database::ExplainAst on a warm cache: the cached plan's text with the
+/// statement's own literals.
+void BM_ExplainCached(benchmark::State& state) {
+  PivotFixture f(static_cast<int>(state.range(0)));
+  if (f.stmt == nullptr || !f.db.ExplainAst(*f.stmt).ok()) {
     state.SkipWithError("setup failed");
     return;
   }
@@ -187,7 +264,7 @@ void BM_PlanAndExplain(benchmark::State& state) {
     benchmark::DoNotOptimize(text);
   }
 }
-BENCHMARK(BM_PlanAndExplain)->Arg(24);
+BENCHMARK(BM_ExplainCached)->Arg(24);
 
 }  // namespace
 }  // namespace mtdb

@@ -27,6 +27,8 @@ const char* LatchRankName(LatchRank rank) {
       return "BufferCapacity";
     case LatchRank::kWal:
       return "Wal";
+    case LatchRank::kPlanCache:
+      return "PlanCache";
     case LatchRank::kCatalog:
       return "Catalog";
     case LatchRank::kTxnRegistry:

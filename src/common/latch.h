@@ -49,6 +49,7 @@ enum class LatchRank : uint8_t {
   kBufferShard = 10,     // BufferPool::Shard::mu
   kBufferCapacity = 20,  // BufferPool::capacity_mu_
   kWal = 30,             // Durability::mu_ (append + lsn assignment)
+  kPlanCache = 35,       // PlanCache::mu_ (leaf: taken under table latches)
   kCatalog = 40,         // Catalog::mu_
   kTxnRegistry = 45,     // Database::txn_registry_mu_ (open client txns)
   kPage = 50,            // reserved for page-level latches (none yet)

@@ -421,13 +421,19 @@ struct Built {
 
 class SelectPlanner {
  public:
-  SelectPlanner(Catalog* catalog, PlannerMode mode, bool explain)
-      : catalog_(catalog), mode_(mode), explain_(explain) {}
+  SelectPlanner(Catalog* catalog, PlannerMode mode, bool explain,
+                const sql::ParamPrinter* param)
+      : catalog_(catalog), mode_(mode), explain_(explain), param_(param) {}
 
   Result<Built> Plan(const SelectStmt& stmt);
 
   Catalog* catalog() const { return catalog_; }
   PlannerMode mode() const { return mode_; }
+
+  /// `e` as the plan text shows it.
+  std::string Sql(const ParsedExpr& e) const {
+    return param_ != nullptr ? sql::ToSql(e, *param_) : sql::ToSql(e);
+  }
 
   Result<Built> PlanDerived(const TableRef& ref) const;
 
@@ -460,10 +466,11 @@ class SelectPlanner {
   Catalog* catalog_;
   PlannerMode mode_;
   bool explain_;
+  const sql::ParamPrinter* param_;  // prints the text's parameters
 };
 
 Result<Built> SelectPlanner::PlanDerived(const TableRef& ref) const {
-  SelectPlanner sub(catalog_, mode_, explain_);
+  SelectPlanner sub(catalog_, mode_, explain_, param_);
   MTDB_ASSIGN_OR_RETURN(Built b, sub.Plan(*ref.subquery));
   // Derived tables are materialized: in kNaive mode this is the "generate
   // the full relation first" behaviour; in kAdvanced mode this path is
@@ -752,7 +759,7 @@ Result<Built> JoinPlanner::PlanAccess(Pending* p) {
         const EqSide* e = find(chosen->key_columns[k]);
         if (k > 0) prefix += ", ";
         prefix += table->schema.at(e->column).name + "=" +
-                  sql::ToSql(*conj_[e->conjunct].side[e->other]);
+                  planner_.Sql(*conj_[e->conjunct].side[e->other]);
       }
       return "IndexScan " + table->name + " (" + binding + ") index=" +
              chosen->name + " prefix=[" + prefix + "]";
@@ -859,7 +866,7 @@ Result<Built> JoinPlanner::JoinBase(Built current, Pending* p) {
         const EqSide* e = find(join_index->key_columns[k]);
         if (k > 0) text += ", ";
         text += table->schema.at(e->column).name + "=" +
-                sql::ToSql(*conj_[e->conjunct].side[e->other]);
+                planner_.Sql(*conj_[e->conjunct].side[e->other]);
       }
       return "IndexNLJoin " + table->name + " (" + binding + ") index=" +
              join_index->name + " keys=[" + text + "]";
@@ -938,7 +945,7 @@ Status JoinPlanner::AddFilter(Built* b, const std::vector<uint32_t>& ids,
     std::string text = "Filter [";
     for (size_t i = 0; i < ids.size(); ++i) {
       if (i > 0) text += " AND ";
-      text += sql::ToSql(*conj_[ids[i]].expr);
+      text += planner_.Sql(*conj_[ids[i]].expr);
     }
     return text + "]";
   });
@@ -1366,19 +1373,28 @@ Result<Built> SelectPlanner::Plan(const SelectStmt& input) {
 
 Result<ExecutorPtr> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
                                PlannerMode mode) {
-  SelectPlanner planner(catalog, mode, /*explain=*/false);
+  SelectPlanner planner(catalog, mode, /*explain=*/false, nullptr);
   MTDB_ASSIGN_OR_RETURN(Built b, planner.Plan(stmt));
   return std::move(b.exec);
 }
 
+Result<ExplainedPlan> PlanAndExplainSelect(const sql::SelectStmt& stmt,
+                                           Catalog* catalog, PlannerMode mode,
+                                           const sql::ParamPrinter* param) {
+  SelectPlanner planner(catalog, mode, /*explain=*/true, param);
+  MTDB_ASSIGN_OR_RETURN(Built b, planner.Plan(stmt));
+  ExplainedPlan out;
+  out.exec = std::move(b.exec);
+  Render(b.text, 0, &out.text);
+  out.text.pop_back();  // the last line's newline
+  return out;
+}
+
 Result<std::string> ExplainSelect(const sql::SelectStmt& stmt,
                                   Catalog* catalog, PlannerMode mode) {
-  SelectPlanner planner(catalog, mode, /*explain=*/true);
-  MTDB_ASSIGN_OR_RETURN(Built b, planner.Plan(stmt));
-  std::string out;
-  Render(b.text, 0, &out);
-  out.pop_back();  // the last line's newline
-  return out;
+  MTDB_ASSIGN_OR_RETURN(ExplainedPlan p,
+                        PlanAndExplainSelect(stmt, catalog, mode));
+  return std::move(p.text);
 }
 
 }  // namespace mtdb

@@ -7,6 +7,7 @@
 #include "catalog/catalog.h"
 #include "exec/executor.h"
 #include "sql/ast.h"
+#include "sql/printer.h"
 
 namespace mtdb {
 
@@ -32,6 +33,18 @@ Result<ExecutorPtr> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
 /// used in Test 1/2).
 Result<std::string> ExplainSelect(const sql::SelectStmt& stmt,
                                   Catalog* catalog, PlannerMode mode);
+
+/// An executor tree and its EXPLAIN text.
+struct ExplainedPlan {
+  ExecutorPtr exec;
+  std::string text;
+};
+
+/// PlanSelect and ExplainSelect in one planning run. When `param` is
+/// given, the text's parameters are printed through it instead of `?`.
+Result<ExplainedPlan> PlanAndExplainSelect(
+    const sql::SelectStmt& stmt, Catalog* catalog, PlannerMode mode,
+    const sql::ParamPrinter* param = nullptr);
 
 }  // namespace mtdb
 

@@ -21,6 +21,12 @@ OutputSchema SchemaOfTable(const TableInfo* table) {
   return out;
 }
 
+size_t FootprintOf(const std::vector<ExprPtr>& exprs) {
+  size_t n = exprs.capacity() * sizeof(ExprPtr);
+  for (const ExprPtr& e : exprs) n += e->Footprint();
+  return n;
+}
+
 }  // namespace
 
 const OutputSchema& Executor::schema() const {
@@ -41,6 +47,13 @@ void Executor::AppendColumns(OutputSchema* out) const {
 void Executor::SetSchema(OutputSchema schema) {
   schema_ = std::move(schema);
   schema_ready_ = true;
+}
+
+size_t Executor::SchemaFootprint() const {
+  size_t n = schema_.names.capacity() * sizeof(std::string) +
+             schema_.types.capacity() * sizeof(TypeId);
+  for (const std::string& name : schema_.names) n += name.capacity();
+  return n;
 }
 
 std::string HashKeyOf(const std::vector<ExprPtr>& exprs, const Row& row,
@@ -87,6 +100,12 @@ Result<bool> SeqScanExecutor::Next(Row* out, const ExecContext& ctx) {
     return true;
   }
   return false;
+}
+
+void SeqScanExecutor::Release() { it_.reset(); }
+
+size_t SeqScanExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + FootprintOf(predicate_);
 }
 
 // -------------------------------------------------------------- IndexScan
@@ -138,6 +157,13 @@ Result<bool> IndexScanExecutor::Next(Row* out, const ExecContext& ctx) {
   return false;
 }
 
+void IndexScanExecutor::Release() { it_.reset(); }
+
+size_t IndexScanExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + FootprintOf(prefix_values_) +
+         FootprintOf(residual_);
+}
+
 // ----------------------------------------------------------------- Filter
 
 FilterExecutor::FilterExecutor(ExecutorPtr child, ExprPtr predicate)
@@ -156,6 +182,13 @@ Result<bool> FilterExecutor::Next(Row* out, const ExecContext& ctx) {
     MTDB_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*predicate_, *out, ctx));
     if (keep) return true;
   }
+}
+
+void FilterExecutor::Release() { child_->Release(); }
+
+size_t FilterExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + child_->Footprint() +
+         predicate_->Footprint();
 }
 
 // ---------------------------------------------------------------- Project
@@ -182,6 +215,13 @@ Result<bool> ProjectExecutor::Next(Row* out, const ExecContext& ctx) {
     out->push_back(std::move(v));
   }
   return true;
+}
+
+void ProjectExecutor::Release() { child_->Release(); }
+
+size_t ProjectExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + child_->Footprint() +
+         FootprintOf(exprs_);
 }
 
 // ----------------------------------------------------------- NestedLoopJoin
@@ -227,6 +267,18 @@ Result<bool> NestedLoopJoinExecutor::Next(Row* out, const ExecContext& ctx) {
     *out = std::move(combined);
     return true;
   }
+}
+
+void NestedLoopJoinExecutor::Release() {
+  Row().swap(left_row_);
+  have_left_ = false;
+  left_->Release();
+  right_->Release();
+}
+
+size_t NestedLoopJoinExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + left_->Footprint() +
+         right_->Footprint() + FootprintOf(predicate_);
 }
 
 // ------------------------------------------------------ IndexNestedLoopJoin
@@ -303,6 +355,19 @@ Result<bool> IndexNestedLoopJoinExecutor::Next(Row* out,
   }
 }
 
+void IndexNestedLoopJoinExecutor::Release() {
+  Row().swap(left_row_);
+  std::vector<Rid>().swap(matches_);
+  match_pos_ = 0;
+  have_left_ = false;
+  left_->Release();
+}
+
+size_t IndexNestedLoopJoinExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + left_->Footprint() +
+         FootprintOf(key_exprs_) + FootprintOf(residual_);
+}
+
 // --------------------------------------------------------------- HashJoin
 
 HashJoinExecutor::HashJoinExecutor(ExecutorPtr left, ExecutorPtr right,
@@ -364,6 +429,21 @@ Result<bool> HashJoinExecutor::Next(Row* out, const ExecContext& ctx) {
     *out = std::move(combined);
     return true;
   }
+}
+
+void HashJoinExecutor::Release() {
+  std::unordered_multimap<std::string, Row>().swap(table_);
+  range_ = {table_.end(), table_.end()};
+  Row().swap(left_row_);
+  have_left_ = false;
+  left_->Release();
+  right_->Release();
+}
+
+size_t HashJoinExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + left_->Footprint() +
+         right_->Footprint() + FootprintOf(left_keys_) +
+         FootprintOf(right_keys_) + FootprintOf(residual_);
 }
 
 // ---------------------------------------------------------------- HashAgg
@@ -482,6 +562,19 @@ Result<bool> HashAggExecutor::Next(Row* out, const ExecContext&) {
   return true;
 }
 
+void HashAggExecutor::Release() {
+  std::vector<AggState>().swap(states_);
+  emit_pos_ = 0;
+  child_->Release();
+}
+
+size_t HashAggExecutor::Footprint() const {
+  size_t n = sizeof(*this) + SchemaFootprint() + child_->Footprint() +
+             FootprintOf(group_exprs_) + aggs_.capacity() * sizeof(AggSpec);
+  for (const AggSpec& a : aggs_) n += FootprintOf(a.arg) + a.name.capacity();
+  return n;
+}
+
 // ------------------------------------------------------------------- Sort
 
 SortExecutor::SortExecutor(ExecutorPtr child, std::vector<SortKey> keys)
@@ -529,6 +622,19 @@ Result<bool> SortExecutor::Next(Row* out, const ExecContext&) {
   return true;
 }
 
+void SortExecutor::Release() {
+  std::vector<Row>().swap(rows_);
+  pos_ = 0;
+  child_->Release();
+}
+
+size_t SortExecutor::Footprint() const {
+  size_t n = sizeof(*this) + SchemaFootprint() + child_->Footprint() +
+             keys_.capacity() * sizeof(SortKey);
+  for (const SortKey& k : keys_) n += k.expr->Footprint();
+  return n;
+}
+
 // ------------------------------------------------------------------ Limit
 
 LimitExecutor::LimitExecutor(ExecutorPtr child, int64_t limit, int64_t offset)
@@ -555,6 +661,12 @@ Result<bool> LimitExecutor::Next(Row* out, const ExecContext& ctx) {
   }
 }
 
+void LimitExecutor::Release() { child_->Release(); }
+
+size_t LimitExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + child_->Footprint();
+}
+
 // --------------------------------------------------------------- Distinct
 
 DistinctExecutor::DistinctExecutor(ExecutorPtr child)
@@ -577,6 +689,15 @@ Result<bool> DistinctExecutor::Next(Row* out, const ExecContext& ctx) {
     for (const Value& v : *out) KeyEncoder::Encode(v, &key);
     if (seen_.emplace(std::move(key), true).second) return true;
   }
+}
+
+void DistinctExecutor::Release() {
+  std::unordered_map<std::string, bool>().swap(seen_);
+  child_->Release();
+}
+
+size_t DistinctExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + child_->Footprint();
 }
 
 // ----------------------------------------------------------------- Values
@@ -602,6 +723,15 @@ Result<bool> ValuesExecutor::Next(Row* out, const ExecContext& ctx) {
     out->push_back(std::move(v));
   }
   return true;
+}
+
+void ValuesExecutor::Release() { pos_ = 0; }
+
+size_t ValuesExecutor::Footprint() const {
+  size_t n = sizeof(*this) + SchemaFootprint() +
+             rows_.capacity() * sizeof(std::vector<ExprPtr>);
+  for (const auto& row : rows_) n += FootprintOf(row);
+  return n;
 }
 
 // ------------------------------------------------------------ Materialize
@@ -633,6 +763,17 @@ Result<bool> MaterializeExecutor::Next(Row* out, const ExecContext&) {
   if (pos_ >= rows_.size()) return false;
   *out = rows_[pos_++];
   return true;
+}
+
+void MaterializeExecutor::Release() {
+  std::vector<Row>().swap(rows_);
+  pos_ = 0;
+  materialized_ = false;
+  child_->Release();
+}
+
+size_t MaterializeExecutor::Footprint() const {
+  return sizeof(*this) + SchemaFootprint() + child_->Footprint();
 }
 
 }  // namespace mtdb

@@ -44,10 +44,23 @@ class Executor {
   /// is a base-table scan (used by UPDATE/DELETE); nullptr otherwise.
   virtual const Rid* current_rid() const { return nullptr; }
 
+  /// Drops what the last execution left behind — scan cursors, hash
+  /// tables, sorted and materialized rows — here and in the inputs, so
+  /// an idle plan holds only itself. The next Init starts afresh.
+  virtual void Release() = 0;
+
+  /// Approximate heap bytes of the plan: operators, expressions and
+  /// column names, without runtime state.
+  virtual size_t Footprint() const = 0;
+
  protected:
   /// Fixes the output columns of an operator that defines its own
   /// (scans, projections, aggregates, VALUES).
   void SetSchema(OutputSchema schema);
+
+  /// Bytes of the output columns this operator holds (none until an
+  /// operator that passes columns through is first asked for them).
+  size_t SchemaFootprint() const;
 
  private:
   mutable OutputSchema schema_;
@@ -62,6 +75,8 @@ class SeqScanExecutor final : public Executor {
   SeqScanExecutor(TableInfo* table, ExprPtr predicate);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   const Rid* current_rid() const override { return &rid_; }
 
  private:
@@ -79,6 +94,8 @@ class IndexScanExecutor final : public Executor {
                     std::vector<ExprPtr> prefix_values, ExprPtr residual);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   const Rid* current_rid() const override { return &rid_; }
 
  private:
@@ -95,6 +112,8 @@ class FilterExecutor final : public Executor {
   FilterExecutor(ExecutorPtr child, ExprPtr predicate);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
   const Rid* current_rid() const override { return child_->current_rid(); }
 
@@ -109,6 +128,8 @@ class ProjectExecutor final : public Executor {
                   std::vector<std::string> names, std::vector<TypeId> types);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
 
  private:
   ExecutorPtr child_;
@@ -122,6 +143,8 @@ class NestedLoopJoinExecutor final : public Executor {
   NestedLoopJoinExecutor(ExecutorPtr left, ExecutorPtr right, ExprPtr predicate);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
 
  private:
@@ -140,6 +163,8 @@ class IndexNestedLoopJoinExecutor final : public Executor {
                               std::vector<ExprPtr> key_exprs, ExprPtr residual);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
 
  private:
@@ -164,6 +189,8 @@ class HashJoinExecutor final : public Executor {
                    ExprPtr residual);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
 
  private:
@@ -194,6 +221,8 @@ class HashAggExecutor final : public Executor {
                   std::vector<TypeId> types);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
 
  private:
   struct AggState {
@@ -219,6 +248,8 @@ class SortExecutor final : public Executor {
   SortExecutor(ExecutorPtr child, std::vector<SortKey> keys);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
 
  private:
@@ -233,6 +264,8 @@ class LimitExecutor final : public Executor {
   LimitExecutor(ExecutorPtr child, int64_t limit, int64_t offset);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
 
  private:
@@ -247,6 +280,8 @@ class DistinctExecutor final : public Executor {
   explicit DistinctExecutor(ExecutorPtr child);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
 
  private:
@@ -261,6 +296,8 @@ class ValuesExecutor final : public Executor {
                  std::vector<std::string> names, std::vector<TypeId> types);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
 
  private:
   std::vector<std::vector<ExprPtr>> rows_;
@@ -276,6 +313,8 @@ class MaterializeExecutor final : public Executor {
   explicit MaterializeExecutor(ExecutorPtr child);
   Status Init(const ExecContext& ctx) override;
   Result<bool> Next(Row* out, const ExecContext& ctx) override;
+  void Release() override;
+  size_t Footprint() const override;
   void AppendColumns(OutputSchema* out) const override;
 
  private:

@@ -37,48 +37,85 @@ const char* BinaryOpSql(BinaryOp op) {
   return "?";
 }
 
+/// Appends `expr` to `out`; parameters go through `param` when set.
+void Print(const ParsedExpr& expr, const ParamPrinter* param,
+           std::string* out) {
+  switch (expr.kind) {
+    case PExprKind::kLiteral:
+      out->append(expr.literal.ToSqlLiteral());
+      return;
+    case PExprKind::kColumnRef:
+      if (!expr.table.empty()) {
+        out->append(expr.table);
+        out->push_back('.');
+      }
+      out->append(expr.column);
+      return;
+    case PExprKind::kParam:
+      if (param != nullptr) {
+        (*param)(expr.param_ordinal, out);
+      } else {
+        out->push_back('?');
+      }
+      return;
+    case PExprKind::kUnary:
+      out->append(expr.unary_op == UnaryOp::kNot ? "(NOT " : "(-");
+      Print(*expr.left, param, out);
+      out->push_back(')');
+      return;
+    case PExprKind::kBinary:
+      out->push_back('(');
+      Print(*expr.left, param, out);
+      out->push_back(' ');
+      out->append(BinaryOpSql(expr.binary_op));
+      out->push_back(' ');
+      Print(*expr.right, param, out);
+      out->push_back(')');
+      return;
+    case PExprKind::kIsNull:
+      out->push_back('(');
+      Print(*expr.left, param, out);
+      out->append(expr.is_null_negated ? " IS NOT NULL)" : " IS NULL)");
+      return;
+    case PExprKind::kLike:
+      out->push_back('(');
+      Print(*expr.left, param, out);
+      out->append(expr.like_negated ? " NOT LIKE " : " LIKE ");
+      Print(*expr.right, param, out);
+      out->push_back(')');
+      return;
+    case PExprKind::kFuncCall:
+      out->append(expr.func_name);
+      out->push_back('(');
+      if (expr.func_star) {
+        out->push_back('*');
+      } else {
+        for (size_t i = 0; i < expr.args.size(); ++i) {
+          if (i > 0) out->append(", ");
+          Print(*expr.args[i], param, out);
+        }
+      }
+      out->push_back(')');
+      return;
+    case PExprKind::kStar:
+      out->push_back('*');
+      return;
+  }
+  out->push_back('?');
+}
+
 }  // namespace
 
 std::string ToSql(const ParsedExpr& expr) {
-  switch (expr.kind) {
-    case PExprKind::kLiteral:
-      return expr.literal.ToSqlLiteral();
-    case PExprKind::kColumnRef:
-      return expr.table.empty() ? expr.column : expr.table + "." + expr.column;
-    case PExprKind::kParam:
-      return "?";
-    case PExprKind::kUnary:
-      if (expr.unary_op == UnaryOp::kNot) {
-        return "(NOT " + ToSql(*expr.left) + ")";
-      }
-      return "(-" + ToSql(*expr.left) + ")";
-    case PExprKind::kBinary:
-      return "(" + ToSql(*expr.left) + " " + BinaryOpSql(expr.binary_op) + " " +
-             ToSql(*expr.right) + ")";
-    case PExprKind::kIsNull:
-      return "(" + ToSql(*expr.left) +
-             (expr.is_null_negated ? " IS NOT NULL)" : " IS NULL)");
-    case PExprKind::kLike:
-      return "(" + ToSql(*expr.left) +
-             (expr.like_negated ? " NOT LIKE " : " LIKE ") +
-             ToSql(*expr.right) + ")";
-    case PExprKind::kFuncCall: {
-      std::string out = expr.func_name + "(";
-      if (expr.func_star) {
-        out += "*";
-      } else {
-        for (size_t i = 0; i < expr.args.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += ToSql(*expr.args[i]);
-        }
-      }
-      out += ")";
-      return out;
-    }
-    case PExprKind::kStar:
-      return "*";
-  }
-  return "?";
+  std::string out;
+  Print(expr, nullptr, &out);
+  return out;
+}
+
+std::string ToSql(const ParsedExpr& expr, const ParamPrinter& param) {
+  std::string out;
+  Print(expr, &param, &out);
+  return out;
 }
 
 std::string ToSql(const SelectStmt& stmt) {

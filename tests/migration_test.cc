@@ -53,6 +53,50 @@ TEST_P(MigrationTest, RoundTripPreservesLogicalData) {
   EXPECT_EQ(updated->rows[0][0].AsInt64(), 1);
 }
 
+/// Migrating a tenant in runs DDL on the target (per-tenant tables,
+/// extension tables, indexes) while another tenant's statements there
+/// already have cached plans. Those statements must return the same
+/// rows after it, and the new tenant's statements must be right.
+TEST_P(MigrationTest, CachedStatementsStayRightAcrossMigrationDdl) {
+  auto [from_kind, to_kind] = GetParam();
+  AppSchema app = FigureFourSchema();
+  Database from_db, to_db;
+  auto from = MakeLayout(from_kind, &from_db, &app);
+  auto to = MakeLayout(to_kind, &to_db, &app);
+  ASSERT_TRUE(from->Bootstrap().ok());
+  ASSERT_TRUE(to->Bootstrap().ok());
+  ASSERT_TRUE(LoadFigureFourData(from.get()).ok());
+
+  ASSERT_TRUE(LayoutMigrator::MigrateTenant(from.get(), to.get(), 35).ok());
+  const char* point = "SELECT * FROM account WHERE aid = 1";
+  auto before = to->Query(35, point);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(to->Query(35, point).ok());  // now from the plan cache
+
+  ASSERT_TRUE(LayoutMigrator::MigrateTenant(from.get(), to.get(), 17).ok());
+  ASSERT_TRUE(LayoutMigrator::MigrateTenant(from.get(), to.get(), 42).ok());
+  auto after = to->Query(35, point);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->columns, before->columns);
+  ASSERT_EQ(after->rows.size(), before->rows.size());
+  for (size_t i = 0; i < after->rows.size(); ++i) {
+    EXPECT_EQ(RowToString(after->rows[i]), RowToString(before->rows[i]));
+  }
+  for (TenantId tenant : {17, 42}) {
+    auto a = from->Query(tenant, point);
+    auto b = to->Query(tenant, point);
+    ASSERT_TRUE(a.ok() && b.ok()) << "tenant " << tenant;
+    EXPECT_EQ(a->columns, b->columns) << "tenant " << tenant;
+    ASSERT_EQ(a->rows.size(), b->rows.size()) << "tenant " << tenant;
+    for (size_t i = 0; i < a->rows.size(); ++i) {
+      for (size_t c = 0; c < a->rows[i].size(); ++c) {
+        EXPECT_EQ(a->rows[i][c].Compare(b->rows[i][c]), 0)
+            << "tenant " << tenant << " col " << c;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Pairs, MigrationTest,
     ::testing::Values(

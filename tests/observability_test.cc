@@ -206,6 +206,40 @@ TEST(StatsTest, ComposedSnapshotCarriesGaugesAndIoFaults) {
   EXPECT_NE(json.find("\"dropped_series\""), std::string::npos);
 }
 
+TEST(StatsTest, PlanCacheCountersInStatsAndRegistry) {
+  Database db;
+  Session session = db.OpenSession();
+  ASSERT_TRUE(session.Execute("CREATE TABLE t (a INT, b INT)").ok());
+  ASSERT_TRUE(session.Execute("INSERT INTO t VALUES (1, 10)").ok());
+  // One shape, two literals: a miss, then a hit on the same entry.
+  ASSERT_TRUE(session.Query("SELECT b FROM t WHERE a = 1").ok());
+  ASSERT_TRUE(session.Query("SELECT b FROM t WHERE a = 2").ok());
+
+  EngineStats stats = db.Stats();
+  EXPECT_EQ(stats.plan_cache.misses, 1u);
+  EXPECT_EQ(stats.plan_cache.hits, 1u);
+  EXPECT_EQ(stats.plan_cache.entries, 1u);
+  EXPECT_GT(stats.plan_cache.bytes, 0u);
+  EXPECT_EQ(stats.plan_cache.evictions, 0u);
+  EXPECT_EQ(stats.plan_cache.invalidations, 0u);
+  const MetricsSnapshot& m = stats.metrics;
+  EXPECT_EQ(m.CounterValue("plan_cache.hits"), 1u);
+  EXPECT_EQ(m.CounterValue("plan_cache.misses"), 1u);
+  EXPECT_EQ(m.CounterValue("plan_cache.entries"), 1u);
+  EXPECT_EQ(m.CounterValue("plan_cache.bytes"), stats.plan_cache.bytes);
+  EXPECT_EQ(m.CounterValue("plan_cache.evictions"), 0u);
+
+  // DDL purges the cache and counts an invalidation.
+  ASSERT_TRUE(session.Execute("CREATE INDEX ix_t_a ON t (a)").ok());
+  stats = db.Stats();
+  EXPECT_EQ(stats.plan_cache.entries, 0u);
+  EXPECT_EQ(stats.plan_cache.bytes, 0u);
+  EXPECT_EQ(stats.plan_cache.invalidations, 1u);
+  EXPECT_EQ(stats.metrics.CounterValue("plan_cache.invalidations"), 1u);
+  EXPECT_NE(stats.metrics.ToJson().find("\"plan_cache.hits\""),
+            std::string::npos);
+}
+
 // --- EXPLAIN MAPPING ----------------------------------------------------
 
 /// Captures what the mapping layer actually emits, rendered to SQL.

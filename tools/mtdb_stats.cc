@@ -8,6 +8,8 @@
 //   --explain  additionally prints EXPLAIN MAPPING for the given logical
 //              statement (tenant 0) before the JSON dump, to stderr so
 //              the stdout stays machine-readable.
+// The plan-cache counters are summarised on stderr too; the JSON carries
+// them as the plan_cache.* gauges.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -135,6 +137,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", explained->ToText().c_str());
   }
 
-  std::printf("%s\n", db->Stats().metrics.ToJson().c_str());
+  const EngineStats stats = db->Stats();
+  const PlanCacheStats& plans = stats.plan_cache;
+  std::fprintf(stderr,
+               "plan cache: %llu hits, %llu misses, %llu entries, %llu bytes, "
+               "%llu evictions, %llu invalidations\n",
+               static_cast<unsigned long long>(plans.hits),
+               static_cast<unsigned long long>(plans.misses),
+               static_cast<unsigned long long>(plans.entries),
+               static_cast<unsigned long long>(plans.bytes),
+               static_cast<unsigned long long>(plans.evictions),
+               static_cast<unsigned long long>(plans.invalidations));
+  std::printf("%s\n", stats.metrics.ToJson().c_str());
   return 0;
 }
