@@ -17,6 +17,7 @@
 #include "core/tenant_session.h"
 #include "mapping_test_util.h"
 #include "storage/wal.h"
+#include "testbed/crm_schema.h"
 
 namespace mtdb {
 namespace mapping {
@@ -440,6 +441,103 @@ INSTANTIATE_TEST_SUITE_P(Layouts, RecoverySiteSweepTest,
                          [](const ::testing::TestParamInfo<LayoutKind>& info) {
                            return LayoutKindName(info.param);
                          });
+
+// ---- EnableExtension with rows: crash at every site --------------------
+//
+// On Chunk Tables with the trashcan, healthcare_account adds an indexed
+// column, so EnableExtension repacks the tenant's visible and deleted
+// rows and then records the extension in the registry, all under one
+// undo log. A kill at any WAL append must recover to either the old
+// mapping or the new one, with every row intact in it.
+TEST(EnableExtensionCrashTest, EveryCrashSiteRecoversOldOrNewMapping) {
+  AppSchema app = testbed::BuildCrmAppSchema();
+  ChunkLayoutOptions chunk_options;
+  chunk_options.trashcan = true;
+  const std::string dir = FreshDir("enable_extension");
+  const char* all = "SELECT id, campaign_id, name, status FROM account "
+                    "ORDER BY id";
+  auto rows_of = [](SchemaMapping* layout, const char* sql) {
+    std::vector<std::string> out;
+    auto r = layout->Query(1, sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) {
+      for (const Row& row : r->rows) out.push_back(RowToString(row));
+    }
+    return out;
+  };
+
+  auto run_iteration = [&](const FaultSpec& spec, uint64_t* evaluations,
+                           bool* killed) {
+    fs::remove_all(dir);
+    auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<Database> db = std::move(*opened);
+    auto layout =
+        std::make_unique<ChunkTableLayout>(db.get(), &app, chunk_options);
+    ASSERT_TRUE(layout->Bootstrap().ok());
+    ASSERT_TRUE(layout->CreateTenant(1).ok());
+    ASSERT_TRUE(layout
+                    ->Execute(1,
+                              "INSERT INTO account (id, campaign_id, name, "
+                              "status) VALUES (1, 7, 'one', 'open'), "
+                              "(2, 8, 'two', 'won')")
+                    .ok());
+    const std::vector<std::string> both = rows_of(layout.get(), all);
+    ASSERT_EQ(both.size(), 2u);
+    ASSERT_TRUE(layout->Execute(1, "DELETE FROM account WHERE id = 2").ok());
+
+    FaultInjector injector(7);
+    injector.Arm(FaultPoint::kCrash, spec);
+    db->page_store()->set_fault_injector(&injector);
+    Status enabled = layout->EnableExtension(1, "healthcare_account");
+    *evaluations = injector.evaluations(FaultPoint::kCrash);
+    db->page_store()->set_fault_injector(nullptr);
+    *killed = !enabled.ok();
+    if (!enabled.ok()) {
+      ASSERT_TRUE(db->durability()->frozen()) << enabled.ToString();
+      layout.reset();
+      db.reset();
+      auto r = Database::Open(DatabaseOptions::WithPath(dir));
+      ASSERT_TRUE(r.ok()) << "reopen: " << r.status().ToString();
+      db = std::move(*r);
+      layout =
+          std::make_unique<ChunkTableLayout>(db.get(), &app, chunk_options);
+      Status rec = layout->Recover();
+      ASSERT_TRUE(rec.ok()) << "layout recover: " << rec.ToString();
+    }
+    // Old mapping or new, the registry and the rows agree.
+    const bool has_extension =
+        layout->Query(1, "SELECT medicare_id FROM account").ok();
+    if (enabled.ok()) EXPECT_TRUE(has_extension);
+    EXPECT_EQ(rows_of(layout.get(), all), std::vector<std::string>{both[0]});
+    auto restored = layout->RestoreDeleted(1, "account");
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(rows_of(layout.get(), all), both);
+    AuditLayout(layout.get(), "enable-extension audit");
+  };
+
+  FaultSpec dry;
+  dry.probability = 0.0;
+  uint64_t total_sites = 0;
+  bool killed = false;
+  run_iteration(dry, &total_sites, &killed);
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_FALSE(killed);
+  ASSERT_GT(total_sites, 0u) << "EnableExtension never consulted kCrash";
+
+  for (uint64_t site = 0; site <= total_sites; ++site) {
+    SCOPED_TRACE("crash site " + std::to_string(site) + " of " +
+                 std::to_string(total_sites));
+    FaultSpec spec;
+    spec.probability = 1.0;
+    spec.skip = site;
+    spec.max_fires = 1;
+    uint64_t evals = 0;
+    run_iteration(spec, &evals, &killed);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(killed, site < total_sites);
+  }
+}
 
 // ---- Client-transaction crash matrix ----------------------------------
 //
