@@ -5,6 +5,9 @@
 
 #include "common/key_encoding.h"
 #include "common/rng.h"
+#include "core/basic_layout.h"
+#include "core/pivot_layout.h"
+#include "core/tenant_session.h"
 #include "engine/database.h"
 #include "engine/plan_cache.h"
 #include "engine/planner.h"
@@ -13,6 +16,7 @@
 #include "sql/shape.h"
 #include "index/btree.h"
 #include "storage/row_codec.h"
+#include "testbed/crm_schema.h"
 
 namespace mtdb {
 namespace {
@@ -197,7 +201,8 @@ void BM_PlanCacheHit(benchmark::State& state) {
     state.SkipWithError("planning failed");
     return;
   }
-  cache.Put(shape.key, cache.Take(shape.key, PlanCache::Want::kPlan).epoch,
+  const auto key = std::make_shared<const std::string>(shape.key);
+  cache.Put(key, cache.Take(*key, PlanCache::Want::kPlan).epoch,
             std::make_shared<PlanCache::Info>(), std::move(*plan), nullptr);
   for (auto _ : state) {
     sql::SelectShape s;
@@ -205,7 +210,7 @@ void BM_PlanCacheHit(benchmark::State& state) {
     sql::EncodeShape(*f.stmt, &s);
     PlanCache::Checkout c = cache.Take(s.key, PlanCache::Want::kPlan);
     c.plan->Release();
-    cache.Put(s.key, c.epoch, std::move(c.info), std::move(c.plan), nullptr);
+    cache.Put(key, c.epoch, std::move(c.info), std::move(c.plan), nullptr);
   }
 }
 BENCHMARK(BM_PlanCacheHit)->Arg(1)->Arg(24);
@@ -265,6 +270,121 @@ void BM_ExplainCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExplainCached)->Arg(24);
+
+/// One tenant of the CRM application on the Basic (kind 0) or Pivot
+/// (kind 1) layout, with the healthcare extension on Pivot and 64
+/// accounts, and a session for it.
+struct SessionFixture {
+  static constexpr int64_t kAccounts = 64;
+  mapping::AppSchema app = testbed::BuildCrmAppSchema();
+  Database db;
+  std::unique_ptr<mapping::SchemaMapping> layout;
+  mapping::TenantSession session;
+  bool ok = false;
+
+  explicit SessionFixture(int64_t kind) {
+    std::vector<mapping::LogicalColumn> cols =
+        app.FindTable("account")->columns;
+    if (kind == 0) {
+      layout = std::make_unique<mapping::BasicLayout>(&db, &app);
+    } else {
+      layout = std::make_unique<mapping::PivotTableLayout>(&db, &app);
+    }
+    if (!layout->Bootstrap().ok() || !layout->CreateTenant(0).ok()) return;
+    if (kind != 0) {
+      if (!layout->EnableExtension(0, "healthcare_account").ok()) return;
+      for (const auto& c : app.FindExtension("healthcare_account")->columns) {
+        cols.push_back(c);
+      }
+    }
+    session = layout->OpenSession(0);
+    for (int64_t id = 1; id <= kAccounts; ++id) {
+      Row row;
+      for (const mapping::LogicalColumn& c : cols) {
+        if (c.name == "id") {
+          row.push_back(Value::Int64(id));
+        } else if (c.type == TypeId::kString) {
+          row.push_back(Value::String(c.name + std::to_string(id)));
+        } else if (c.type == TypeId::kDouble) {
+          row.push_back(Value::Double(static_cast<double>(id)));
+        } else if (c.type == TypeId::kInt32) {
+          row.push_back(Value::Int32(static_cast<int32_t>(id)));
+        } else if (c.type == TypeId::kDate) {
+          row.push_back(Value::Date(static_cast<int32_t>(18000 + id)));
+        } else if (c.type == TypeId::kBool) {
+          row.push_back(Value::Bool(id % 2 == 0));
+        } else {
+          row.push_back(Value::Int64(id));
+        }
+      }
+      if (!session.InsertRow("account", row).ok()) return;
+    }
+    ok = true;
+  }
+};
+
+/// `n` spellings of the point SELECT that differ only in whitespace:
+/// each of its seven gaps between tokens is one to four spaces.
+std::vector<std::string> PointSpellings(size_t n) {
+  const char* tokens[] = {"SELECT", "*",  "FROM", "account",
+                          "WHERE",  "id", "=",    "?"};
+  std::vector<std::string> out;
+  for (size_t k = 0; k < n; ++k) {
+    std::string sql = tokens[0];
+    size_t code = k;
+    for (size_t t = 1; t < std::size(tokens); ++t) {
+      sql.append(1 + code % 4, ' ');
+      code /= 4;
+      sql += tokens[t];
+    }
+    out.push_back(std::move(sql));
+  }
+  return out;
+}
+
+/// A TenantSession point SELECT whose statement is cached: the plan runs
+/// from the SQL text without parse or transform.
+void BM_SessionQueryHit(benchmark::State& state, int kind) {
+  SessionFixture f(kind);
+  if (!f.ok) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  const std::string sql = PointSpellings(1)[0];
+  int64_t id = 0;
+  for (auto _ : state) {
+    auto r = f.session.Query(sql, {Value::Int64(1 + id++ % f.kAccounts)});
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["hits"] = static_cast<double>(
+      f.layout->stats().stmt_cache.hits.value());
+}
+BENCHMARK_CAPTURE(BM_SessionQueryHit, basic, 0);
+BENCHMARK_CAPTURE(BM_SessionQueryHit, pivot, 1);
+
+/// The same statement with a cold statement cache: every iteration runs
+/// one of twice the cache's capacity of spellings in turn, so each is
+/// parsed, transformed and shape-encoded, then runs its cached plan.
+void BM_SessionQueryMiss(benchmark::State& state, int kind) {
+  SessionFixture f(kind);
+  if (!f.ok) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  const std::vector<std::string> spellings =
+      PointSpellings(2 * mapping::StatementCache::kMaxEntries);
+  size_t k = 0;
+  for (auto _ : state) {
+    auto r = f.session.Query(spellings[k % spellings.size()],
+                             {Value::Int64(1 + k % f.kAccounts)});
+    k++;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["hits"] = static_cast<double>(
+      f.layout->stats().stmt_cache.hits.value());
+}
+BENCHMARK_CAPTURE(BM_SessionQueryMiss, basic, 0);
+BENCHMARK_CAPTURE(BM_SessionQueryMiss, pivot, 1);
 
 }  // namespace
 }  // namespace mtdb

@@ -29,6 +29,8 @@ const char* LatchRankName(LatchRank rank) {
       return "Wal";
     case LatchRank::kPlanCache:
       return "PlanCache";
+    case LatchRank::kStatementCache:
+      return "StatementCache";
     case LatchRank::kCatalog:
       return "Catalog";
     case LatchRank::kTxnRegistry:

@@ -50,6 +50,7 @@ enum class LatchRank : uint8_t {
   kBufferCapacity = 20,  // BufferPool::capacity_mu_
   kWal = 30,             // Durability::mu_ (append + lsn assignment)
   kPlanCache = 35,       // PlanCache::mu_ (leaf: taken under table latches)
+  kStatementCache = 36,  // StatementCache::mu_ (leaf: never calls out)
   kCatalog = 40,         // Catalog::mu_
   kTxnRegistry = 45,     // Database::txn_registry_mu_ (open client txns)
   kPage = 50,            // reserved for page-level latches (none yet)

@@ -27,6 +27,8 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(uint64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
+  /// For counters that hold a level (entries, bytes) rather than a total.
+  void Sub(uint64_t delta) { v_.fetch_sub(delta, std::memory_order_relaxed); }
   Counter& operator++() {
     Add(1);
     return *this;

@@ -7,17 +7,52 @@
 namespace mtdb {
 namespace mapping {
 
+uint32_t HeatProfile::KeyLocked(const std::string& table,
+                               const std::string& column) {
+  auto [it, added] = keys_.try_emplace(
+      {IdentLower(table), IdentLower(column)},
+      static_cast<uint32_t>(counts_.size()));
+  if (added) counts_.push_back(0);
+  return it->second;
+}
+
 void HeatProfile::Record(const std::string& table, const std::string& column,
                          uint64_t count) {
   std::lock_guard<std::mutex> lock(mu_);
-  counts_[{IdentLower(table), IdentLower(column)}] += count;
+  counts_[KeyLocked(table, column)] += count;
   total_ += count;
+}
+
+HeatProfile::Accesses HeatProfile::Record(const ColumnRefs& refs) {
+  Accesses out;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [table, column] : refs) {
+    const uint32_t key = KeyLocked(table, column);
+    counts_[key]++;
+    auto seen = std::find_if(out.begin(), out.end(),
+                             [key](const Access& a) { return a.key == key; });
+    if (seen != out.end()) {
+      seen->count++;
+    } else {
+      out.push_back(Access{key, 1});
+    }
+  }
+  total_ += refs.size();
+  return out;
+}
+
+void HeatProfile::Record(const Accesses& accesses) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Access& a : accesses) {
+    counts_[a.key] += a.count;
+    total_ += a.count;
+  }
 }
 
 uint64_t HeatProfile::ColumnHeatLocked(const std::string& table,
                                        const std::string& column) const {
-  auto it = counts_.find({IdentLower(table), IdentLower(column)});
-  return it == counts_.end() ? 0 : it->second;
+  auto it = keys_.find({IdentLower(table), IdentLower(column)});
+  return it == keys_.end() ? 0 : counts_[it->second];
 }
 
 uint64_t HeatProfile::ColumnHeat(const std::string& table,
@@ -42,7 +77,7 @@ uint64_t HeatProfile::total() const {
 
 void HeatProfile::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  counts_.clear();
+  std::fill(counts_.begin(), counts_.end(), 0);
   total_ = 0;
 }
 

@@ -22,8 +22,25 @@ namespace mapping {
 /// through the transformer without any external lock.
 class HeatProfile {
  public:
+  /// A statement's accesses to one column: the column's key in this
+  /// profile and how many times the statement names it.
+  struct Access {
+    uint32_t key;
+    uint32_t count;
+  };
+  using Accesses = std::vector<Access>;
+  /// Column references as written: (table, column).
+  using ColumnRefs = std::vector<std::pair<std::string, std::string>>;
+
   void Record(const std::string& table, const std::string& column,
               uint64_t count = 1);
+  /// Records one statement's column references under one lock
+  /// acquisition and returns them as accesses, repeats merged, which
+  /// Record(const Accesses&) can record again without naming them.
+  Accesses Record(const ColumnRefs& refs);
+  /// Records accesses an earlier Record(const ColumnRefs&) of this
+  /// profile returned.
+  void Record(const Accesses& accesses);
 
   uint64_t ColumnHeat(const std::string& table,
                       const std::string& column) const;
@@ -34,15 +51,20 @@ class HeatProfile {
   /// Total recorded accesses.
   uint64_t total() const;
 
+  /// Zeroes every count. Column keys stay, so accesses returned earlier
+  /// remain valid.
   void Clear();
 
  private:
   uint64_t ColumnHeatLocked(const std::string& table,
                             const std::string& column) const;
+  /// The key of (table, column), lower-cased, added when new.
+  uint32_t KeyLocked(const std::string& table, const std::string& column);
 
   mutable std::mutex mu_;
-  // (table lower, column lower) -> count.
-  std::map<std::pair<std::string, std::string>, uint64_t> counts_;
+  // (table lower, column lower) -> key, an index into counts_.
+  std::map<std::pair<std::string, std::string>, uint32_t> keys_;
+  std::vector<uint64_t> counts_;
   uint64_t total_ = 0;
 };
 

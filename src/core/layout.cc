@@ -148,21 +148,28 @@ TenantSession SchemaMapping::OpenSession(TenantId tenant) {
 }
 
 // Admin template methods: take the layer latch exclusively (draining
-// in-flight statements, which hold it shared), then run the hooks.
+// in-flight statements, which hold it shared), run the hooks, and drop
+// the cached mappings and statements, whatever the hook returned.
 
 Status SchemaMapping::CreateTenant(TenantId tenant) {
   std::unique_lock<SharedLatch> lock(layer_mu_);
-  return CreateTenantImpl(tenant);
+  Status st = CreateTenantImpl(tenant);
+  InvalidateMappings();
+  return st;
 }
 
 Status SchemaMapping::EnableExtension(TenantId tenant, const std::string& ext) {
   std::unique_lock<SharedLatch> lock(layer_mu_);
-  return EnableExtensionImpl(tenant, ext);
+  Status st = EnableExtensionImpl(tenant, ext);
+  InvalidateMappings();
+  return st;
 }
 
 Status SchemaMapping::DropTenant(TenantId tenant) {
   std::unique_lock<SharedLatch> lock(layer_mu_);
-  return DropTenantImpl(tenant);
+  Status st = DropTenantImpl(tenant);
+  InvalidateMappings();
+  return st;
 }
 
 Status SchemaMapping::CreateTenantImpl(TenantId tenant) {
@@ -341,7 +348,6 @@ Status SchemaMapping::DropTenantImpl(TenantId tenant) {
   }
   MTDB_RETURN_IF_ERROR(RecordTenantDropped(tenant));
   tenants_.erase(tenant);
-  InvalidateMappings();
   return Status::OK();
 }
 
@@ -630,8 +636,9 @@ Result<std::vector<std::pair<std::string, TypeId>>>
 SchemaMapping::LogicalColumns(TenantId tenant, const std::string& table) {
   MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, table));
   std::vector<std::pair<std::string, TypeId>> out;
-  for (const LogicalColumn& c : eff.columns) {
-    out.emplace_back(c.name, c.type);
+  out.reserve(eff.columns.size());
+  for (LogicalColumn& c : eff.columns) {
+    out.emplace_back(std::move(c.name), c.type);
   }
   return out;
 }
@@ -657,8 +664,11 @@ Result<const TableMapping*> SchemaMapping::Mapping(TenantId tenant,
 }
 
 void SchemaMapping::InvalidateMappings() {
-  std::lock_guard<Latch> lock(cache_mu_);
-  mapping_cache_.clear();
+  {
+    std::lock_guard<Latch> lock(cache_mu_);
+    mapping_cache_.clear();
+  }
+  stmt_cache_.Clear();
 }
 
 void SchemaMapping::NotifySelect(TenantId tenant, const sql::SelectStmt& stmt) {
@@ -707,13 +717,41 @@ Result<QueryResult> SchemaMapping::Query(TenantId tenant,
   std::shared_lock<SharedLatch> lock(layer_mu_);
   ProbeGuard probe;
   MTDB_RETURN_IF_ERROR(CheckTenantAvailable(tenant, &probe));
+  // A cached statement runs its plan from the SQL text alone. An
+  // observer must see every physical AST, so it bypasses the cache; an
+  // entry whose plan is not idle, or whose key holds another planner
+  // mode, falls back to the full path, which refills both caches.
+  std::string key = StatementCache::KeyOf(tenant, transform_options_, sql);
+  if (observer_.load(std::memory_order_acquire) != nullptr) {
+    stmt_cache_.CountFallback();
+  } else if (std::shared_ptr<const CachedStatement> cached =
+                 stmt_cache_.Find(key)) {
+    QueryResult rows;
+    Result<bool> served = db_->QueryPrepared(cached->select, params, &rows);
+    if (!served.ok() || *served) {
+      stmt_cache_.CountHit();
+      heat_.Record(cached->heat);
+      probe.Disarm();
+      NoteTenantOutcome(tenant, served.status());
+      if (!served.ok()) return served.status();
+      return rows;
+    }
+    stmt_cache_.CountFallback();
+  } else {
+    stmt_cache_.CountMiss();
+  }
   MTDB_ASSIGN_OR_RETURN(auto stmt, sql::ParseSelect(sql));
   QueryTransformer transformer(this, transform_options_, &heat_);
   MTDB_ASSIGN_OR_RETURN(auto physical,
                         transformer.TransformSelect(tenant, *stmt));
   stats_.queries_transformed++;
   NotifySelect(tenant, *physical);
-  Result<QueryResult> out = db_->QueryAst(*physical, params);
+  auto entry = std::make_shared<CachedStatement>();
+  Result<QueryResult> out = db_->QueryAst(*physical, params, &entry->select);
+  if (out.ok() && entry->select.key != nullptr) {
+    entry->heat = transformer.accesses();
+    stmt_cache_.Put(std::move(key), std::move(entry));
+  }
   probe.Disarm();
   NoteTenantOutcome(tenant, out.status());
   return out;

@@ -15,6 +15,7 @@
 #include "common/metrics_registry.h"
 #include "engine/database.h"
 #include "core/logical_schema.h"
+#include "core/statement_cache.h"
 #include "core/table_mapping.h"
 #include "core/transformer.h"
 
@@ -35,6 +36,8 @@ enum class DmlMode { kPerRow, kBatched };
 /// concurrent tenant sessions bump them without coordination; read them
 /// individually (the struct is not copyable).
 struct LayoutStats {
+  /// Logical SELECTs parsed and transformed (statement-cache hits are
+  /// not: they reuse an earlier transformation).
   Counter queries_transformed;
   Counter statements_transformed;
   Counter physical_statements;
@@ -49,6 +52,8 @@ struct LayoutStats {
   /// Times a tenant crossed the consecutive-hard-fault threshold and was
   /// quarantined.
   Counter quarantine_trips;
+  /// The logical SELECT cache (DESIGN.md §18).
+  StmtCacheCounters stmt_cache;
 };
 
 /// Observes every physical statement the mapping layer emits against the
@@ -87,6 +92,9 @@ class StatementUndoLog;
 /// counters are per tenant — different tenants' statements share no hot
 /// lock. Bootstrap and configuration (transform_options,
 /// set_statement_observer) are setup-time: call them before traffic.
+/// Changing transform_options or the engine's planner mode between
+/// statements is allowed: the statement cache keys on the options and
+/// checks the mode (DESIGN.md §18).
 ///
 /// The logical SQL dialect is ordinary SQL against the tenant's own
 /// tables (e.g. "SELECT Beds FROM Account WHERE Hospital='State'").
@@ -133,7 +141,9 @@ class SchemaMapping : public MappingResolver {
 
   // --- logical statement execution -----------------------------------
 
-  /// Runs a logical SELECT for `tenant`.
+  /// Runs a logical SELECT for `tenant`. A repeated statement runs its
+  /// cached plan straight from the SQL text, without parse or transform
+  /// (DESIGN.md §18).
   Result<QueryResult> Query(TenantId tenant, const std::string& sql,
                             const std::vector<Value>& params = {});
 
@@ -438,7 +448,8 @@ class SchemaMapping : public MappingResolver {
                           const std::vector<Value>& params,
                           uint64_t collect_epoch);
 
-  /// Invalidates all cached TableMappings (call after DDL).
+  /// Invalidates all cached TableMappings and cached statements (call
+  /// after DDL; every admin operation calls it before it returns).
   void InvalidateMappings();
 
  public:
@@ -510,6 +521,13 @@ class SchemaMapping : public MappingResolver {
   /// Cache of (tenant, table-lower) -> TableMapping, filled via Mapping().
   std::map<std::pair<TenantId, std::string>, std::unique_ptr<TableMapping>>
       mapping_cache_;
+
+  /// Logical SELECTs by (tenant, transform options, SQL text); cleared
+  /// with the mapping cache. Its latch is a leaf, never held across an
+  /// engine call.
+  StatementCache stmt_cache_{&stats_.stmt_cache,
+                             db_ != nullptr ? db_->metrics_registry()
+                                            : nullptr};
 
   /// Guards table_numbers_/next_table_number_ (bumped from BuildMapping).
   Latch table_number_mu_{LatchRank::kMappingTableNum, "mapping-table-num"};

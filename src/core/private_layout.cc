@@ -51,7 +51,6 @@ Status PrivateTableLayout::DropTenantImpl(TenantId tenant) {
   }
   MTDB_RETURN_IF_ERROR(RecordTenantDropped(tenant));
   tenants_.erase(tenant);
-  InvalidateMappings();
   return Status::OK();
 }
 
@@ -95,7 +94,6 @@ Status PrivateTableLayout::EnableExtensionImpl(TenantId tenant,
   // The engine cannot ALTER on-line; the private layout must rebuild the
   // tenant's table — the extensibility cost §3 attributes to this layout.
   MTDB_RETURN_IF_ERROR(MaterializeTable(tenant, def->base_table, old_name));
-  InvalidateMappings();
   return RecordExtensionEnabled(
       tenant, ext,
       static_cast<int64_t>(entry->state.extensions().size()) - 1);

@@ -56,22 +56,28 @@ std::unique_ptr<SelectStmt> BuildReconstruction(
     const TableMapping& mapping, const std::vector<std::string>& columns,
     const std::vector<TypeId>& types, const std::string& row_alias) {
   auto out = std::make_unique<SelectStmt>();
-  // Which sources participate.
-  std::set<size_t> needed;
+  // Each column's target, looked up once, and which sources participate.
+  std::vector<const ColumnTarget*> targets;
+  targets.reserve(columns.size());
+  std::vector<bool> needed(mapping.sources.size(), false);
   for (const std::string& col : columns) {
     auto it = mapping.columns.find(IdentLower(col));
-    if (it != mapping.columns.end()) needed.insert(it->second.source);
+    const ColumnTarget* t =
+        it != mapping.columns.end() ? &it->second : nullptr;
+    if (t != nullptr) needed[t->source] = true;
+    targets.push_back(t);
   }
-  if (needed.empty()) needed.insert(0);
-
-  std::vector<size_t> order(needed.begin(), needed.end());
-  std::unordered_map<size_t, std::string> alias_of;
-  for (size_t i = 0; i < order.size(); ++i) {
-    alias_of[order[i]] = "s" + std::to_string(order[i]);
+  std::vector<size_t> order;
+  for (size_t src = 0; src < needed.size(); ++src) {
+    if (needed[src]) order.push_back(src);
   }
+  if (order.empty()) order.push_back(0);
+  std::vector<std::string> alias_of(mapping.sources.size());
+  for (size_t src : order) alias_of[src] = "s" + std::to_string(src);
 
   // FROM + partition predicates + aligning joins on row.
   ParsedExprPtr where;
+  out->from.reserve(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
     size_t src = order[i];
     TableRef ref;
@@ -93,6 +99,7 @@ std::unique_ptr<SelectStmt> BuildReconstruction(
   }
   out->where = std::move(where);
 
+  out->items.reserve(columns.size() + 1);
   if (!row_alias.empty() &&
       !mapping.sources[order[0]].row_column.empty()) {
     sql::SelectItem item;
@@ -102,16 +109,15 @@ std::unique_ptr<SelectStmt> BuildReconstruction(
     out->items.push_back(std::move(item));
   }
   for (size_t i = 0; i < columns.size(); ++i) {
-    auto it = mapping.columns.find(IdentLower(columns[i]));
-    if (it == mapping.columns.end()) continue;
-    const ColumnTarget& t = it->second;
+    const ColumnTarget* t = targets[i];
+    if (t == nullptr) continue;
     sql::SelectItem item;
     item.expr = MaybeCast(
-        MakeColumnRef(alias_of[t.source], t.physical_column), t);
+        MakeColumnRef(alias_of[t->source], t->physical_column), *t);
     item.alias = columns[i];
     out->items.push_back(std::move(item));
-    (void)types;
   }
+  (void)types;
   return out;
 }
 
@@ -154,7 +160,7 @@ Status QueryTransformer::MarkUses(const ParsedExpr& e,
         if (IdentEquals(b.columns[i].first, e.column)) {
           b.used[i] = true;
           matched = true;
-          if (heat_ != nullptr) heat_->Record(b.table, e.column);
+          if (heat_ != nullptr) column_refs_.emplace_back(b.table, e.column);
         }
       }
     }
@@ -173,12 +179,20 @@ Status QueryTransformer::MarkUses(const ParsedExpr& e,
 
 Result<std::unique_ptr<SelectStmt>> QueryTransformer::TransformSelect(
     TenantId tenant, const SelectStmt& input) {
+  column_refs_.clear();
+  Result<std::unique_ptr<SelectStmt>> out = Transform(tenant, input);
+  if (heat_ != nullptr) accesses_ = heat_->Record(column_refs_);
+  return out;
+}
+
+Result<std::unique_ptr<SelectStmt>> QueryTransformer::Transform(
+    TenantId tenant, const SelectStmt& input) {
   std::unique_ptr<SelectStmt> stmt = input.Clone();
 
   // Step 0: recursively transform derived tables first.
   for (TableRef& ref : stmt->from) {
     if (ref.is_subquery()) {
-      MTDB_ASSIGN_OR_RETURN(auto sub, TransformSelect(tenant, *ref.subquery));
+      MTDB_ASSIGN_OR_RETURN(auto sub, Transform(tenant, *ref.subquery));
       ref.subquery = std::move(sub);
     }
   }
@@ -188,26 +202,32 @@ Result<std::unique_ptr<SelectStmt>> QueryTransformer::TransformSelect(
                         BindFrom(tenant, *stmt));
 
   // Expand SELECT * against the logical schema (never expose physical
-  // generic-structure columns to the application).
+  // generic-structure columns to the application). Every column is
+  // used, so the expansion marks it as MarkUses would.
+  const size_t written_items = stmt->items.size();
   if (stmt->select_star) {
     stmt->select_star = false;
-    for (const LogicalBinding& b : bindings) {
+    for (LogicalBinding& b : bindings) {
       if (b.mapping == nullptr) {
         return Status::NotImplemented(
             "SELECT * over a derived table in a logical query");
       }
-      for (const auto& [name, type] : b.columns) {
+      stmt->items.reserve(stmt->items.size() + b.columns.size());
+      for (size_t i = 0; i < b.columns.size(); ++i) {
+        const std::string& name = b.columns[i].first;
         sql::SelectItem item;
         item.expr = MakeColumnRef(b.binding, name);
         item.alias = name;
         stmt->items.push_back(std::move(item));
+        b.used[i] = true;
+        if (heat_ != nullptr) column_refs_.emplace_back(b.table, name);
       }
     }
   }
 
   // Step 2: collect the used columns per logical table.
-  for (const auto& item : stmt->items) {
-    MTDB_RETURN_IF_ERROR(MarkUses(*item.expr, &bindings));
+  for (size_t i = 0; i < written_items; ++i) {
+    MTDB_RETURN_IF_ERROR(MarkUses(*stmt->items[i].expr, &bindings));
   }
   if (stmt->where != nullptr) {
     MTDB_RETURN_IF_ERROR(MarkUses(*stmt->where, &bindings));
@@ -224,15 +244,14 @@ Result<std::unique_ptr<SelectStmt>> QueryTransformer::TransformSelect(
 
   // Steps 3+4: generate reconstructions and patch them in.
   if (options_.emit_mode == EmitMode::kNested) {
-    return EmitNested(tenant, *stmt, bindings);
+    return EmitNested(tenant, std::move(stmt), bindings);
   }
-  return EmitFlattened(tenant, *stmt, bindings);
+  return EmitFlattened(tenant, std::move(stmt), bindings);
 }
 
 Result<std::unique_ptr<SelectStmt>> QueryTransformer::EmitNested(
-    TenantId /*tenant*/, const SelectStmt& stmt,
+    TenantId /*tenant*/, std::unique_ptr<SelectStmt> out,
     std::vector<LogicalBinding>& bindings) {
-  std::unique_ptr<SelectStmt> out = stmt.Clone();
   for (size_t i = 0; i < out->from.size(); ++i) {
     LogicalBinding& b = bindings[i];
     if (b.mapping == nullptr) continue;  // already-transformed subquery
@@ -254,10 +273,8 @@ Result<std::unique_ptr<SelectStmt>> QueryTransformer::EmitNested(
 }
 
 Result<std::unique_ptr<SelectStmt>> QueryTransformer::EmitFlattened(
-    TenantId /*tenant*/, const SelectStmt& stmt,
+    TenantId /*tenant*/, std::unique_ptr<SelectStmt> out,
     std::vector<LogicalBinding>& bindings) {
-  std::unique_ptr<SelectStmt> out = stmt.Clone();
-
   // Per binding: source index -> fresh alias; plus meta-data conjuncts.
   struct Rewrite {
     std::string binding;                          // logical binding (lower)

@@ -70,11 +70,21 @@ class QueryTransformer {
                    HeatProfile* heat = nullptr)
       : resolver_(resolver), options_(options), heat_(heat) {}
 
-  /// Transforms a logical SELECT into a physical SELECT.
+  /// Transforms a logical SELECT into a physical SELECT. With a heat
+  /// profile, records the statement's column accesses in one call, also
+  /// those found before a failure.
   Result<std::unique_ptr<sql::SelectStmt>> TransformSelect(
       TenantId tenant, const sql::SelectStmt& stmt);
 
+  /// The column accesses the last TransformSelect recorded, as its heat
+  /// profile keys them (empty without a heat profile).
+  const HeatProfile::Accesses& accesses() const { return accesses_; }
+
  private:
+  /// TransformSelect's recursion over derived tables.
+  Result<std::unique_ptr<sql::SelectStmt>> Transform(
+      TenantId tenant, const sql::SelectStmt& stmt);
+
   struct LogicalBinding {
     std::string binding;   // alias or table name as written
     std::string table;     // logical table name
@@ -87,16 +97,19 @@ class QueryTransformer {
                                                const sql::SelectStmt& stmt);
   Status MarkUses(const sql::ParsedExpr& e,
                   std::vector<LogicalBinding>* bindings);
+  /// Steps 3+4 on `stmt`, the bound logical statement, in place.
   Result<std::unique_ptr<sql::SelectStmt>> EmitNested(
-      TenantId tenant, const sql::SelectStmt& stmt,
+      TenantId tenant, std::unique_ptr<sql::SelectStmt> stmt,
       std::vector<LogicalBinding>& bindings);
   Result<std::unique_ptr<sql::SelectStmt>> EmitFlattened(
-      TenantId tenant, const sql::SelectStmt& stmt,
+      TenantId tenant, std::unique_ptr<sql::SelectStmt> stmt,
       std::vector<LogicalBinding>& bindings);
 
   MappingResolver* resolver_;
   TransformOptions options_;
   HeatProfile* heat_;
+  HeatProfile::ColumnRefs column_refs_;
+  HeatProfile::Accesses accesses_;
   int fresh_alias_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
 
 #include "common/deadline.h"
@@ -216,14 +217,14 @@ sql::SelectShape ShapeOf(const sql::SelectStmt& stmt, PlannerMode mode) {
   return shape;
 }
 
-/// The parameters a lifted plan runs with: the statement's own, then
-/// its slot values.
-std::vector<Value> SlotParams(const std::vector<Value>& params,
-                              const sql::SelectShape& shape) {
-  std::vector<Value> out;
-  out.reserve(shape.first_slot + shape.slots.size());
-  out.insert(out.end(), params.begin(), params.begin() + shape.first_slot);
-  for (const Value* v : shape.slots) out.push_back(*v);
+/// `stmt` as the plan cache keys it under `mode`.
+PreparedSelect PrepareSelect(const sql::SelectStmt& stmt, PlannerMode mode) {
+  sql::SelectShape shape = ShapeOf(stmt, mode);
+  PreparedSelect out;
+  out.key = std::make_shared<const std::string>(std::move(shape.key));
+  out.slots.reserve(shape.slots.size());
+  for (const Value* v : shape.slots) out.slots.push_back(*v);
+  out.first_slot = shape.first_slot;
   return out;
 }
 
@@ -241,7 +242,8 @@ std::string RenderPlanText(const std::string& text,
     if (open == std::string::npos) break;
     const size_t close = text.find(kSlotMark, open + 1);
     out.append(text, pos, open - pos);
-    const size_t slot = std::stoul(text.substr(open + 1, close - open - 1));
+    size_t slot = 0;
+    std::from_chars(text.data() + open + 1, text.data() + close, slot);
     out.append(shape.slots[slot]->ToSqlLiteral());
     pos = close + 1;
   }
@@ -657,8 +659,22 @@ Result<QueryResult> Database::Query(const std::string& sql,
 }
 
 Result<QueryResult> Database::QueryAst(const sql::SelectStmt& stmt,
-                                       const std::vector<Value>& params) {
-  return RunSelect(stmt, params);
+                                       const std::vector<Value>& params,
+                                       PreparedSelect* prepared) {
+  return RunSelect(stmt, params, prepared);
+}
+
+Result<bool> Database::QueryPrepared(const PreparedSelect& prepared,
+                                     const std::vector<Value>& params,
+                                     QueryResult* out) {
+  if ((*prepared.key)[0] != static_cast<char>(planner_mode())) return false;
+  std::shared_lock<SharedLatch> ddl(ddl_mu_);
+  return RunCachedPlan(prepared, /*stmt=*/nullptr, params, deadline::Current(),
+                       /*top_level=*/true, &out->columns,
+                       [out](const Executor&, Row* row) {
+                         out->rows.push_back(std::move(*row));
+                         return Status::OK();
+                       });
 }
 
 Result<int64_t> Database::ExecuteAst(const sql::Statement& stmt,
@@ -708,7 +724,8 @@ Result<std::string> Database::ExplainAst(const sql::SelectStmt& stmt) {
     return ExplainSelect(stmt, catalog_.get(), mode);
   }
   auto text = std::make_shared<const std::string>(std::move(planned->text));
-  plan_cache_.Put(shape.key, cached.epoch,
+  plan_cache_.Put(std::make_shared<const std::string>(std::move(shape.key)),
+                  cached.epoch,
                   cached.info != nullptr ? cached.info
                                          : PlanInfoOf(catalog_.get(), stmt),
                   std::move(planned->exec), text);
@@ -746,21 +763,22 @@ Result<StatementResult> Database::RunStatement(const sql::Statement& stmt,
   return StatementResult(affected);
 }
 
-Status Database::RunCachedPlan(
-    const sql::SelectStmt& stmt, const std::vector<Value>& params,
-    const deadline::Deadline& deadline, bool top_level,
-    std::vector<std::string>* columns,
-    const std::function<Status(const Executor&, Row*)>& on_row) {
-  const PlannerMode mode = planner_mode();
-  sql::SelectShape shape = ShapeOf(stmt, mode);
-  if (params.size() < shape.first_slot) {
+Result<bool> Database::RunCachedPlan(
+    const PreparedSelect& prepared, const sql::SelectStmt* stmt,
+    const std::vector<Value>& params, const deadline::Deadline& deadline,
+    bool top_level, std::vector<std::string>* columns,
+    const std::function<Status(const Executor&, Row*)>& on_row,
+    std::shared_ptr<const std::string>* shared_key) {
+  if (params.size() < prepared.first_slot) {
     return Status::InvalidArgument("missing bind parameter " +
                                    std::to_string(params.size() + 1));
   }
-  PlanCache::Checkout cached =
-      plan_cache_.Take(shape.key, PlanCache::Want::kPlan);
+  PlanCache::Checkout cached = plan_cache_.Take(
+      *prepared.key,
+      stmt != nullptr ? PlanCache::Want::kPlan : PlanCache::Want::kIdlePlan);
+  if (stmt == nullptr && cached.plan == nullptr) return false;
   std::shared_ptr<const PlanCache::Info> info =
-      cached.info != nullptr ? cached.info : PlanInfoOf(catalog_.get(), stmt);
+      cached.info != nullptr ? cached.info : PlanInfoOf(catalog_.get(), *stmt);
   std::optional<trace::SpanScope> span;
   LatchSet latches;
   if (top_level) {
@@ -771,12 +789,20 @@ Status Database::RunCachedPlan(
   }
   ExecutorPtr plan = std::move(cached.plan);
   if (plan == nullptr) {
-    std::unique_ptr<sql::SelectStmt> lifted = stmt.Clone();
-    sql::LiftSlots(lifted.get(), shape.first_slot);
+    std::unique_ptr<sql::SelectStmt> lifted = stmt->Clone();
+    sql::LiftSlots(lifted.get(), prepared.first_slot);
+    // The mode the key was made under: its first byte.
+    const auto mode = static_cast<PlannerMode>((*prepared.key)[0]);
     MTDB_ASSIGN_OR_RETURN(plan, PlanSelect(*lifted, catalog_.get(), mode));
   }
+  // The parameters a lifted plan runs with: the statement's own, then
+  // its slot values.
   ExecContext ctx;
-  ctx.params = SlotParams(params, shape);
+  ctx.params.reserve(prepared.first_slot + prepared.slots.size());
+  ctx.params.insert(ctx.params.end(), params.begin(),
+                    params.begin() + prepared.first_slot);
+  ctx.params.insert(ctx.params.end(), prepared.slots.begin(),
+                    prepared.slots.end());
   ctx.deadline = deadline;
   MTDB_RETURN_IF_ERROR(plan->Init(ctx));
   if (columns != nullptr) *columns = plan->schema().names;
@@ -789,21 +815,29 @@ Status Database::RunCachedPlan(
     MTDB_RETURN_IF_ERROR(on_row(*plan, &row));
   }
   plan->Release();
-  plan_cache_.Put(shape.key, cached.epoch, std::move(info), std::move(plan),
-                  nullptr);
-  return Status::OK();
+  std::shared_ptr<const std::string> key = plan_cache_.Put(
+      prepared.key, cached.epoch, std::move(info), std::move(plan), nullptr);
+  if (shared_key != nullptr) *shared_key = std::move(key);
+  return true;
 }
 
 Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
-                                        const std::vector<Value>& params) {
+                                        const std::vector<Value>& params,
+                                        PreparedSelect* prepared) {
   std::shared_lock<SharedLatch> ddl(ddl_mu_);
+  PreparedSelect local;
+  if (prepared == nullptr) prepared = &local;
+  *prepared = PrepareSelect(stmt, planner_mode());
   QueryResult out;
-  MTDB_RETURN_IF_ERROR(RunCachedPlan(
-      stmt, params, deadline::Current(), /*top_level=*/true, &out.columns,
-      [&out](const Executor&, Row* row) {
-        out.rows.push_back(std::move(*row));
-        return Status::OK();
-      }));
+  MTDB_RETURN_IF_ERROR(
+      RunCachedPlan(*prepared, &stmt, params, deadline::Current(),
+                    /*top_level=*/true, &out.columns,
+                    [&out](const Executor&, Row* row) {
+                      out.rows.push_back(std::move(*row));
+                      return Status::OK();
+                    },
+                    &prepared->key)
+          .status());
   return out;
 }
 
@@ -817,16 +851,19 @@ Result<std::vector<std::pair<Rid, Row>>> Database::ScanQualifying(
   select.from.push_back(std::move(ref));
   if (where != nullptr) select.where = where->Clone();
   std::vector<std::pair<Rid, Row>> rows;
-  MTDB_RETURN_IF_ERROR(RunCachedPlan(
-      select, ctx.params, ctx.deadline, /*top_level=*/false, nullptr,
-      [&rows](const Executor& plan, Row* row) {
-        const Rid* rid = plan.current_rid();
-        if (rid == nullptr) {
-          return Status::Internal("qualifying scan lost row identity");
-        }
-        rows.emplace_back(*rid, std::move(*row));
-        return Status::OK();
-      }));
+  MTDB_RETURN_IF_ERROR(
+      RunCachedPlan(PrepareSelect(select, planner_mode()), &select, ctx.params,
+                    ctx.deadline, /*top_level=*/false, nullptr,
+                    [&rows](const Executor& plan, Row* row) {
+                      const Rid* rid = plan.current_rid();
+                      if (rid == nullptr) {
+                        return Status::Internal(
+                            "qualifying scan lost row identity");
+                      }
+                      rows.emplace_back(*rid, std::move(*row));
+                      return Status::OK();
+                    })
+          .status());
   return rows;
 }
 

@@ -52,6 +52,19 @@ struct QueryResult {
   std::vector<Row> rows;
 };
 
+/// A SELECT as the plan cache keys it (DESIGN.md §17): its shape key
+/// (planner mode byte first), the values of its lifted literals and the
+/// parameter ordinal of the first of them. Enough to run the statement's
+/// cached plan without its AST; the mapping layer's statement cache
+/// keeps one per tenant statement (DESIGN.md §18).
+struct PreparedSelect {
+  /// Shared with the plan-cache entry once the statement ran, so every
+  /// tenant statement of one shape holds one copy.
+  std::shared_ptr<const std::string> key;
+  std::vector<Value> slots;
+  size_t first_slot = 0;  // the statement's own parameter count
+};
+
 /// One physical statement an EXPLAIN MAPPING plan consists of.
 struct PhysicalStatementPlan {
   std::string op;     // "select" / "insert" / "update" / "delete"
@@ -261,9 +274,21 @@ class Database {
 
   /// Executes an already-parsed SELECT (the mapping layer transforms
   /// ASTs directly and skips re-parsing). Every SELECT front door runs
-  /// through the plan cache (DESIGN.md §17).
+  /// through the plan cache (DESIGN.md §17). When the statement ran,
+  /// `prepared` (may be null) receives what QueryPrepared needs to run it
+  /// again; its key is null if a DDL epoch passed meanwhile.
   Result<QueryResult> QueryAst(const sql::SelectStmt& stmt,
-                               const std::vector<Value>& params = {});
+                               const std::vector<Value>& params = {},
+                               PreparedSelect* prepared = nullptr);
+
+  /// Runs a SELECT that QueryAst prepared, on an idle plan of its cached
+  /// shape, into `out`. Returns false, having run nothing, when the plan
+  /// cache holds no idle plan for the key (evicted, a new DDL epoch, all
+  /// checked out) or the planner mode is not the key's; the caller then
+  /// runs the statement through QueryAst.
+  Result<bool> QueryPrepared(const PreparedSelect& prepared,
+                             const std::vector<Value>& params,
+                             QueryResult* out);
 
   /// Executes a parsed non-SELECT statement; returns affected rows.
   Result<int64_t> ExecuteAst(const sql::Statement& stmt,
@@ -342,24 +367,29 @@ class Database {
   Result<StatementResult> RunStatement(const sql::Statement& stmt,
                                        const std::vector<Value>& params);
   Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
-                                const std::vector<Value>& params);
+                                const std::vector<Value>& params,
+                                PreparedSelect* prepared = nullptr);
   Result<int64_t> RunMutation(const sql::Statement& stmt,
                               const std::vector<Value>& params);
   Result<int64_t> RunMutationInner(const sql::Statement& stmt,
                                    const std::vector<Value>& params);
 
-  /// Runs `stmt` on an idle plan of its shape from the plan cache,
-  /// planning the lifted statement on a miss; passes the plan's column
-  /// names to `columns` (may be null) and each row to `on_row`, then
-  /// returns the plan to the cache. The caller holds the DDL latch
-  /// shared. A top-level SELECT (`top_level`) opens its span and latches
-  /// its tables shared here; a mutation's qualifying scan runs under the
-  /// latches its caller holds.
-  Status RunCachedPlan(
-      const sql::SelectStmt& stmt, const std::vector<Value>& params,
-      const deadline::Deadline& deadline, bool top_level,
-      std::vector<std::string>* columns,
-      const std::function<Status(const Executor&, Row*)>& on_row);
+  /// Runs the SELECT `prepared` on an idle plan of its shape from the
+  /// plan cache, or, when none is idle and `stmt` (the statement it was
+  /// prepared from) is given, plans the lifted statement. Passes the
+  /// plan's column names to `columns` (may be null) and each row to
+  /// `on_row`, then returns the plan to the cache and, when `shared_key`
+  /// is given, stores the entry's copy of the key there. Returns false,
+  /// having run nothing, when `stmt` is null and no plan is idle. The
+  /// caller holds the DDL latch shared. A top-level SELECT (`top_level`)
+  /// opens its span and latches its tables shared here; a mutation's
+  /// qualifying scan runs under the latches its caller holds.
+  Result<bool> RunCachedPlan(
+      const PreparedSelect& prepared, const sql::SelectStmt* stmt,
+      const std::vector<Value>& params, const deadline::Deadline& deadline,
+      bool top_level, std::vector<std::string>* columns,
+      const std::function<Status(const Executor&, Row*)>& on_row,
+      std::shared_ptr<const std::string>* shared_key = nullptr);
 
   /// UPDATE's and DELETE's qualifying scan, `SELECT * FROM table WHERE
   /// where`, through the plan cache: every matching row with its rid.

@@ -51,7 +51,10 @@ class PlanCache {
     std::string first_table;         // span label
   };
 
-  enum class Want { kPlan, kText };
+  /// kIdlePlan wants an idle tree and counts nothing when there is none:
+  /// its caller runs the statement again through a path that plans it
+  /// and counts that miss.
+  enum class Want { kPlan, kIdlePlan, kText };
 
   /// The result of Take. `info` is null when the shape has no entry.
   struct Checkout {
@@ -61,16 +64,20 @@ class PlanCache {
     uint64_t epoch = 0;
   };
 
-  /// Looks `key` up and, for kPlan, takes one idle tree out of its
-  /// entry. Counts a hit when it returns what was wanted, else a miss.
+  /// Looks `key` up and, for kPlan and kIdlePlan, takes one idle tree
+  /// out of its entry. Counts a hit when it returns what was wanted, else
+  /// a miss (kIdlePlan: nothing).
   Checkout Take(const std::string& key, Want want);
 
   /// Puts `plan` (released, may be null) and `text` (may be null) into
-  /// the entry of `key`, creating it with `info` if absent. Drops them
-  /// when `epoch` is no longer current.
-  void Put(const std::string& key, uint64_t epoch,
-           std::shared_ptr<const Info> info, ExecutorPtr plan,
-           std::shared_ptr<const std::string> text);
+  /// the entry of `key`, creating it with `key` itself and `info` if
+  /// absent. Returns the entry's key, one copy shared by every holder;
+  /// null, having dropped `plan` and `text`, when `epoch` is no longer
+  /// current.
+  std::shared_ptr<const std::string> Put(
+      std::shared_ptr<const std::string> key, uint64_t epoch,
+      std::shared_ptr<const Info> info, ExecutorPtr plan,
+      std::shared_ptr<const std::string> text);
 
   /// Drops every entry and starts a new epoch. Called by DDL.
   void Invalidate();
@@ -83,7 +90,7 @@ class PlanCache {
     size_t bytes;
   };
   struct Entry {
-    std::string key;
+    std::shared_ptr<const std::string> key;
     std::shared_ptr<const Info> info;
     std::shared_ptr<const std::string> text;
     std::vector<Idle> idle;

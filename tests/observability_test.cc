@@ -240,6 +240,57 @@ TEST(StatsTest, PlanCacheCountersInStatsAndRegistry) {
             std::string::npos);
 }
 
+TEST(StatsTest, StatementCacheCountersInLayoutStatsAndRegistry) {
+  AppSchema app = mapping::FigureFourSchema();
+  Database db;
+  auto layout = MakeLayout(LayoutKind::kChunk, &db, &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(mapping::LoadFigureFourData(layout.get()).ok());
+  const mapping::StmtCacheCounters& c = layout->stats().stmt_cache;
+  const uint64_t invalidations = c.invalidations.value();
+  EXPECT_GT(invalidations, 0u);  // every admin operation clears the cache
+  const uint64_t transformed = layout->stats().queries_transformed.value();
+
+  const char* q = "SELECT name FROM account WHERE aid = ?";
+  ASSERT_TRUE(layout->Query(17, q, {Value::Int64(1)}).ok());  // miss
+  ASSERT_TRUE(layout->Query(17, q, {Value::Int64(2)}).ok());  // hit
+  ASSERT_TRUE(layout->Query(35, q, {Value::Int64(1)}).ok());  // miss
+  db.set_planner_mode(PlannerMode::kNaive);
+  ASSERT_TRUE(layout->Query(17, q, {Value::Int64(1)}).ok());  // fallback
+  db.set_planner_mode(PlannerMode::kAdvanced);
+  EXPECT_EQ(c.hits.value(), 1u);
+  EXPECT_EQ(c.misses.value(), 2u);
+  EXPECT_EQ(c.fallbacks.value(), 1u);
+  EXPECT_EQ(c.entries.value(), 2u);
+  EXPECT_GT(c.bytes.value(), 0u);
+  EXPECT_EQ(c.evictions.value(), 0u);
+  // Only the statements that were parsed and transformed count here.
+  EXPECT_EQ(layout->stats().queries_transformed.value(), transformed + 3);
+
+  EngineStats stats = db.Stats();
+  const MetricsSnapshot& m = stats.metrics;
+  EXPECT_EQ(m.CounterValue("stmt_cache.hits"), 1u);
+  EXPECT_EQ(m.CounterValue("stmt_cache.misses"), 2u);
+  EXPECT_EQ(m.CounterValue("stmt_cache.fallbacks"), 1u);
+  EXPECT_EQ(m.CounterValue("stmt_cache.entries"), 2u);
+  EXPECT_EQ(m.CounterValue("stmt_cache.bytes"), c.bytes.value());
+  EXPECT_EQ(m.CounterValue("stmt_cache.evictions"), 0u);
+  EXPECT_EQ(m.CounterValue("stmt_cache.invalidations"), invalidations);
+
+  // An admin operation empties the cache and counts an invalidation.
+  ASSERT_TRUE(layout->EnableExtension(35, "automotive").ok());
+  EXPECT_EQ(c.entries.value(), 0u);
+  EXPECT_EQ(c.bytes.value(), 0u);
+  EXPECT_GT(c.invalidations.value(), invalidations);
+  stats = db.Stats();
+  EXPECT_EQ(stats.metrics.CounterValue("stmt_cache.entries"), 0u);
+  EXPECT_EQ(stats.metrics.CounterValue("stmt_cache.bytes"), 0u);
+  EXPECT_EQ(stats.metrics.CounterValue("stmt_cache.invalidations"),
+            c.invalidations.value());
+  EXPECT_NE(stats.metrics.ToJson().find("\"stmt_cache.hits\""),
+            std::string::npos);
+}
+
 // --- EXPLAIN MAPPING ----------------------------------------------------
 
 /// Captures what the mapping layer actually emits, rendered to SQL.

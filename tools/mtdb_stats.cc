@@ -8,8 +8,9 @@
 //   --explain  additionally prints EXPLAIN MAPPING for the given logical
 //              statement (tenant 0) before the JSON dump, to stderr so
 //              the stdout stays machine-readable.
-// The plan-cache counters are summarised on stderr too; the JSON carries
-// them as the plan_cache.* gauges.
+// The plan-cache and statement-cache counters are summarised on stderr
+// too; the JSON carries them as the plan_cache.* gauges and the
+// stmt_cache.* counters.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -148,6 +149,18 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(plans.bytes),
                static_cast<unsigned long long>(plans.evictions),
                static_cast<unsigned long long>(plans.invalidations));
+  const StmtCacheCounters& stmts = layout->stats().stmt_cache;
+  std::fprintf(stderr,
+               "statement cache: %llu hits, %llu misses, %llu fallbacks, "
+               "%llu entries, %llu bytes, %llu evictions, %llu "
+               "invalidations\n",
+               static_cast<unsigned long long>(stmts.hits.value()),
+               static_cast<unsigned long long>(stmts.misses.value()),
+               static_cast<unsigned long long>(stmts.fallbacks.value()),
+               static_cast<unsigned long long>(stmts.entries.value()),
+               static_cast<unsigned long long>(stmts.bytes.value()),
+               static_cast<unsigned long long>(stmts.evictions.value()),
+               static_cast<unsigned long long>(stmts.invalidations.value()));
   std::printf("%s\n", stats.metrics.ToJson().c_str());
   return 0;
 }
